@@ -48,23 +48,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pmax", type=int, default=10**7)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--oracle-bound", type=int, default=20_000)
     parser.add_argument("--out", type=str, default="results/density_grid.csv")
     args = parser.parse_args()
 
     pairs = grid_items()
     t0 = time.time()
-    results = scan_batch(
-        [item for item, _ in pairs],
-        args.pmax,
-        workers=args.workers,
-        seed=args.seed,
-        oracle_bound=args.oracle_bound,
-    )
+    results = scan_batch([item for item, _ in pairs], args.pmax, workers=args.workers)
     elapsed = time.time() - t0
 
-    report = Report(meta=base_meta(args.pmax, args.seed, args.oracle_bound))
+    report = Report(meta=base_meta(args.pmax))
     for (item, m), res in zip(pairs, results):
         report.rows.extend(density_rows(res, m))
 

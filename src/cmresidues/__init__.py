@@ -1,7 +1,8 @@
 """Power-residue classes of Frobenius traces of CM elliptic curves.
 
 The package computes a_p for the nine rational CM families by complex
-multiplication (norm equations in Z[i] / Z[ω] plus sign disambiguation),
+multiplication in closed form (a norm equation in Z[i], Z[ω] or the ring of
+integers of Q(√d), plus one character value that picks the unit),
 evaluates quartic and cubic residue symbols, partitions split primes into
 congruence/residue cells, and checks per-prime identities exactly and
 density statements statistically.

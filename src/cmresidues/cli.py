@@ -8,9 +8,10 @@ Three subcommands over the same engine:
 
 A config file (plain ``key = value`` lines, ``#`` comments) can carry any
 flag's value; explicit flags win.  Exit codes: 0 all checks pass, 1
-violations or failed verdicts, 2 usage/config errors.  Reports are pure
-functions of the run configuration: the worker count changes wall time,
-never bytes.
+violations, failed verdicts, or nothing checked (a suite with no checks, a
+scan over an empty eligible set), 2 usage/config errors and flags a command
+cannot honour.  Reports are pure functions of the run configuration: the
+worker count changes wall time, never bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class RunConfig:
     workers: int = 1
     out_format: str = "csv"
     out_path: str | None = None
-    seed: int = 0
     curve_table: str | None = None
     suite: str | None = None
 
@@ -79,7 +79,6 @@ _CONFIG_KEYS = {
     "workers": int,
     "format": str,
     "out": str,
-    "seed": int,
     "curve-table": str,
     "suite": str,
 }
@@ -121,12 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="set_expr", type=str, default=None,
                        help="conditioning set expression, e.g. 'mod(8;1,5) & symord(2;3;2)'")
         p.add_argument("--pmax", type=int, default=None, help="scan primes p < pmax")
-        p.add_argument("--oracle-bound", type=int, default=None,
-                       help="below this bound ambiguous traces fall back to naive counting")
         p.add_argument("--workers", type=int, default=None, help="parallel scan processes")
         p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
         p.add_argument("--out", type=str, default=None, help="write report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="base seed for point disambiguation")
         p.add_argument("--curve-table", type=str, default=None,
                        help="alternate Weierstrass model table (curves.txt format)")
         p.add_argument("--config", type=str, default=None, help="key = value defaults file")
@@ -134,6 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an exact per-prime identity suite")
     pv.add_argument("--suite", type=str, default=None,
                     help=f"suite name, one of {', '.join(sorted(SUITES))}")
+    pv.add_argument("--oracle-bound", type=int, default=None,
+                    help="trace-oracle suite: compare traces with naive counts for p <= this bound")
     common(pv)
     pd = sub.add_parser("density", help="order densities of the m-class over a conditioned set")
     common(pd)
@@ -170,7 +168,6 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         workers=pick("workers", "workers", 1),
         out_format=pick("format", "format", "csv"),
         out_path=pick("out", "out"),
-        seed=pick("seed", "seed", 0),
         curve_table=pick("curve-table", "curve_table"),
         suite=pick("suite", "suite", None) if args.command == "verify" else None,
     )
@@ -197,12 +194,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         ds=[cfg.d] if cfg.d is not None else None,
         ts=[cfg.t] if cfg.t is not None else None,
         p_max=cfg.p_max,
-        seed=cfg.seed,
         oracle_bound=cfg.oracle_bound,
         table=_load_table(cfg),
     )
     payload = {
-        "meta": base_meta(cfg.p_max, cfg.seed, cfg.oracle_bound),
+        "meta": base_meta(cfg.p_max),
         "suite": res.suite,
         "params": res.params,
         "checked": res.checked,
@@ -219,34 +215,31 @@ def _parsed_set(cfg: RunConfig):
     return parse_set(cfg.set_expr_text)
 
 
-def _scan_kwargs(cfg: RunConfig) -> dict:
-    return dict(
+def _cmd_scan(cfg: RunConfig, make_report) -> int:
+    if cfg.d is None or cfg.m is None:
+        raise UsageError(f"{cfg.command} needs --d and --m")
+    if cfg.n is not None and (cfg.n < 1 or cfg.m % cfg.n):
+        raise UsageError(f"--n {cfg.n} does not divide --m {cfg.m}")
+    report = make_report(
+        cfg.d,
+        cfg.t if cfg.t is not None else Fraction(1),
+        cfg.m,
         set_expr=_parsed_set(cfg),
         orders=[cfg.n] if cfg.n is not None else None,
         p_max=cfg.p_max,
         workers=cfg.workers,
-        seed=cfg.seed,
-        oracle_bound=cfg.oracle_bound,
         table=_load_table(cfg),
     )
+    _emit(report.to_csv() if cfg.out_format == "csv" else report.to_json(), cfg)
+    return 0 if report.all_pass() else 1
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    if cfg.d is None or cfg.m is None:
-        raise UsageError("density needs --d and --m")
-    t = cfg.t if cfg.t is not None else Fraction(1)
-    report = density_report(cfg.d, t, cfg.m, **_scan_kwargs(cfg))
-    _emit(report.to_csv() if cfg.out_format == "csv" else report.to_json(), cfg)
-    return 0 if report.all_pass() else 1
+    return _cmd_scan(cfg, density_report)
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    if cfg.d is None or cfg.m is None:
-        raise UsageError("conjecture needs --d and --m")
-    t = cfg.t if cfg.t is not None else Fraction(1)
-    report = conjecture_report(cfg.d, t, cfg.m, **_scan_kwargs(cfg))
-    _emit(report.to_csv() if cfg.out_format == "csv" else report.to_json(), cfg)
-    return 0 if report.all_pass() else 1
+    return _cmd_scan(cfg, conjecture_report)
 
 
 _DISPATCH = {"verify": cmd_verify, "density": cmd_density, "conjecture": cmd_conjecture}

@@ -10,28 +10,28 @@ rational model E^d (``data/curves.txt``) and study the family
 
 with t a nonzero rational.  A good odd prime p is *supersingular* exactly
 when d is a non-residue mod p, and then a_p = 0 (p >= 5).  For split p the
-trace is pinned down by the norm equation — a_p = ±u with 4p = u² + |d|v²
-(d = -4: a_p ∈ ±{2a, 2b}, d = -3: a_p ∈ ±{2x, x+3y, x-3y}) — and the
-remaining sign/unit ambiguity is resolved by two independent routes:
+trace is pinned down by the norm equation up to a unit, and the Hecke
+character of the family picks the unit (Ireland & Rosen, *A Classical
+Introduction to Modern Number Theory*, ch. 18).  There are two independent
+routes to a_p:
 
-* ``ap``: for d = -4 a closed form (the trace is the entry of
-  [2a, 2b, -2a, -2b] selected by the quartic character of t at the primary
-  divisor a+bi of p); for every other d, candidate filtering by group order:
-  random points P must satisfy (p+1-c)P = O for the true trace c.
+* ``ap``: closed forms, one norm equation and one character value per prime:
+  - d = -4: the entry of [2a, 2b, -2a, -2b] selected by the quartic
+    character of t at the primary divisor a+bi of p;
+  - d = -3: a_p = -(t/p)·Tr(ω^e·π), with π ≡ 2 (mod 3) the primary divisor
+    of p in Z[ω], (t/π)_3 = ω^e and Tr(a + bω) = 2a - b;
+  - d <= -7: a_p = (s/p)·b_d(p), where s is the twist (-t for d = -7, t
+    otherwise) and b_d(p) the trace of E^d from the norm equation
+    (``_base_trace``).
 * ``ap_naive``: a direct character-sum point count, O(p) per prime.
 
 Keeping the two routes independent is the whole point — every identity
 checked downstream is only as credible as the trace computation, so the
 fast path never silently feeds the oracle and vice versa.
-
-Determinism: the random points used by the filtering route come from a
-``random.Random`` seeded arithmetically by (seed, d, t, p), so any prime is
-reproducible in isolation, in any order, on any worker layout.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,12 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .eisenstein import cubic_exponent, split_prime_eis
 from .gaussian import split_prime, quartic_exponent
-from .primes import Rational, jacobi, sqrt_mod
+from .primes import Rational, jacobi, order_dividing, sqrt_mod, squarefree_part
 
 DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
-_POINT_TRIES = 32
 _NAIVE_LIMIT = 2_000_000  # int64 safety margin for the character-sum count
 
 
@@ -71,13 +71,9 @@ class CurveModel:
         b6 = self.a3 * self.a3 + 4 * self.a6
         return b2, b4, b6
 
-    def short_coeffs(self, p: int) -> tuple[int, int]:
-        """(A, B) with E ≅ y² = x³ + Ax + B over F_p; valid for p >= 5."""
-        assert p >= 5, "short Weierstrass transform divides by 6"
+    def c_invariants(self) -> tuple[int, int]:
         b2, b4, b6 = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-        return (-27 * c4) % p, (-54 * c6) % p
+        return b2 * b2 - 24 * b4, -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
 
 
 @dataclass(frozen=True)
@@ -196,118 +192,6 @@ def cornacchia_4p(D: int, p: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Point arithmetic (Jacobian coordinates, short Weierstrass, p >= 5)
-
-
-def _jac_dbl(X, Y, Z, A, p):
-    if Z == 0 or Y == 0:
-        return 1, 1, 0
-    Y2 = Y * Y % p
-    S = 4 * X * Y2 % p
-    Z2 = Z * Z % p
-    M = (3 * X * X + A * Z2 * Z2) % p
-    X3 = (M * M - 2 * S) % p
-    Y3 = (M * (S - X3) - 8 * Y2 * Y2) % p
-    Z3 = 2 * Y * Z % p
-    return X3, Y3, Z3
-
-
-def _jac_add_affine(X, Y, Z, x2, y2, A, p):
-    """(X:Y:Z) + (x2:y2:1)."""
-    if Z == 0:
-        return x2, y2, 1
-    Z2 = Z * Z % p
-    U2 = x2 * Z2 % p
-    S2 = y2 * Z2 * Z % p
-    H = (U2 - X) % p
-    R = (S2 - Y) % p
-    if H == 0:
-        if R == 0:
-            return _jac_dbl(X, Y, Z, A, p)
-        return 1, 1, 0
-    H2 = H * H % p
-    H3 = H * H2 % p
-    XH2 = X * H2 % p
-    X3 = (R * R - H3 - 2 * XH2) % p
-    Y3 = (R * (XH2 - X3) - Y * H3) % p
-    Z3 = Z * H % p
-    return X3, Y3, Z3
-
-
-def _jac_mul(k: int, x: int, y: int, A: int, p: int):
-    """k·(x, y) on y² = x³ + Ax + B (B implicit), Jacobian; Z = 0 encodes O."""
-    if k == 0:
-        return 1, 1, 0
-    if k < 0:
-        k, y = -k, (-y) % p
-    X, Y, Z = x, y, 1
-    for bit in bin(k)[3:]:
-        X, Y, Z = _jac_dbl(X, Y, Z, A, p)
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(X, Y, Z, x, y, A, p)
-    return X, Y, Z
-
-
-def _jac_eq(P, Q, p) -> bool:
-    X1, Y1, Z1 = P
-    X2, Y2, Z2 = Q
-    if Z1 == 0 or Z2 == 0:
-        return Z1 == 0 and Z2 == 0
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    if (X1 * Z2Z2 - X2 * Z1Z1) % p:
-        return False
-    return (Y1 * Z2Z2 * Z2 - Y2 * Z1Z1 * Z1) % p == 0
-
-
-def _mix_seed(seed: int, d: int, num: int, den: int, p: int) -> int:
-    mix = seed & (1 << 64) - 1
-    for v in (d, num, den, p):
-        mix = (mix * 0x100000001B3 + v) & (1 << 128) - 1
-    return mix
-
-
-def _trace_from_candidates(p: int, A: int, B: int, cands: list[int], rng, tries: int):
-    """The unique c among cands with (p+1-c)P = O for random points P.
-
-    Returns None when the candidates cannot be separated: either several
-    survive all rounds (candidate differences killing the whole group) or
-    the curve has too few points off the 2-torsion to sample.  Both happen
-    only for small p.
-    """
-    survivors = list(cands)
-    draws = 16 * p + 256  # total budget; a curve can have no usable points at all
-    for _ in range(tries):
-        # random point: x with x³+Ax+B a nonzero square
-        while True:
-            draws -= 1
-            if draws < 0:
-                return None
-            x = rng.randrange(p)
-            fx = (x * x % p * x + A * x + B) % p
-            if fx != 0 and pow(fx, (p - 1) // 2, p) == 1:
-                y = sqrt_mod(fx, p)
-                break
-        Q = _jac_mul(p + 1, x, y, A, p)
-        mults: dict[int, tuple] = {}
-        still = []
-        for c in survivors:
-            k = abs(c)
-            if k not in mults:
-                mults[k] = _jac_mul(k, x, y, A, p)
-            X, Y, Z = mults[k]
-            if c < 0:
-                Y = (-Y) % p
-            if _jac_eq(Q, (X, Y, Z), p):
-                still.append(c)
-        survivors = still
-        assert survivors, "true trace eliminated: wrong candidate set or bad model"
-        if len(survivors) == 1:
-            return survivors[0]
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Naive point counts (the oracle route)
 
 
@@ -323,11 +207,12 @@ def _chi_table(p: int) -> np.ndarray:
 
 def _count_cubic(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
     """-Σ_x chi(c3x³ + c2x² + c1x + c0) = trace of y² = cubic, over F_p."""
-    assert p <= _NAIVE_LIMIT, "naive count out of its int64 comfort zone"
+    if p > _NAIVE_LIMIT:
+        raise ValueError(f"naive count at p = {p} is past its int64-safe limit {_NAIVE_LIMIT}")
     chi = _chi_table(p)
     xs = np.arange(p, dtype=np.int64)
     x2 = xs * xs % p
-    fx = (c3 % p * (x2 * xs % p) + c2 % p * x2 + c1 % p * xs + c0) % p
+    fx = (c3 % p * (x2 * xs % p) + c2 % p * x2 + c1 % p * xs + c0 % p) % p
     return -int(chi[fx].sum())
 
 
@@ -356,93 +241,80 @@ def ap_naive(spec: CurveSpec, p: int, table: dict[int, CurveModel] | None = None
 # Production trace
 
 
-@lru_cache(maxsize=1 << 16)
-def _stored_trace(model: CurveModel, d: int, p: int, seed: int, oracle_bound: int, tries: int) -> int:
-    """Signed trace of the stored model at split p >= 5 (d <= -7 families)."""
-    assert p >= 5
+@lru_cache(maxsize=None)
+def model_twist(d: int, model: CurveModel) -> int:
+    """Squarefree D such that ``model`` is the quadratic twist by D of the shipped E^d.
+
+    For d <= -7 (j ≠ 0, 1728) two models with the same j are quadratic
+    twists of each other, and the twist by D scales (c4, c6) to
+    (D²u⁴·c4, D³u⁶·c6), so D is the squarefree part of (c6/c4) / (r6/r4),
+    where (r4, r6) are the invariants of E^d.
+    Raises ValueError when ``model`` does not have the j-invariant of E^d.
+    """
+    ref = default_table()[d]
+    if model == ref:
+        return 1
+    c4, c6 = model.c_invariants()
+    r4, r6 = ref.c_invariants()
+    if c4 * c6 == 0 or c4**3 * r6**2 != r4**3 * c6**2:
+        raise ValueError(f"model {model} for d = {d} is not a twist of the CM curve {ref}")
+    return squarefree_part(Fraction(c6 * r4, r6 * c4))
+
+
+def _base_trace(d: int, p: int) -> int:
+    """Trace of the shipped model E^d at split p, for the d <= -7 families.
+
+    The Hecke character of E^d is χ(α)·α with χ quadratic mod the conductor,
+    which fixes the sign of the norm-equation solution:
+
+    * d = -8: p = x² + 2y², a_p = (-2/x)·2x, negated when y ≡ 2 (mod 4);
+    * d = -7: 4p = u² + 7v², a_p = (u/7)·u;
+    * d = -11, -19, -43, -67, -163: 4p = u² + |d|v², a_p = -(u/|d|)·u.
+
+    ``scripts/calibrate_models.py`` re-derives each rule from naive counts.
+    """
     if d == -8:
-        x, _y = cornacchia(2, p)
-        u = 2 * x
-    else:
-        u, _v = cornacchia_4p(d, p)
-    A, B = model.short_coeffs(p)
-    rng = random.Random(_mix_seed(seed, d, 1, 1, p))
-    c = _trace_from_candidates(p, A, B, [u, -u], rng, tries)
-    if c is None:
-        if p <= oracle_bound:
-            return _count_cubic(*_bmodel_coeffs(model, 1, p), p)
-        raise RuntimeError(f"trace of E[{d}] at {p} ambiguous after {tries} points")
-    return c
+        x, y = cornacchia(2, p)
+        trace = jacobi(-2, x) * 2 * x
+        return -trace if y % 4 == 2 else trace
+    u, _v = cornacchia_4p(d, p)
+    return (jacobi(u, 7) if d == -7 else -jacobi(u, -d)) * u
 
 
-def _bmodel_coeffs(model: CurveModel, s: int, p: int) -> tuple[int, int, int, int]:
-    b2, b4, b6 = model.b_invariants()
-    return 4 * s % p, b2 * s % p, 2 * b4 * s % p, b6 * s % p
+def ap(spec: CurveSpec, p: int, *, table: dict[int, CurveModel] | None = None) -> ApRecord:
+    """Frobenius trace of E_t at a good odd prime p, in closed form.
 
-
-@lru_cache(maxsize=1 << 16)
-def _sextic_trace(num: int, den: int, p: int, seed: int, oracle_bound: int, tries: int) -> int:
-    """Trace of y² = x³ + 16t at split p ≡ 1 (mod 3), t = num/den."""
-    x, y = cornacchia(3, p)
-    cands = []
-    for c in (2 * x, x + 3 * y, x - 3 * y):
-        cands += [c, -c]
-    B = 16 * (num % p) * pow(den, -1, p) % p
-    rng = random.Random(_mix_seed(seed, -3, num, den, p))
-    c = _trace_from_candidates(p, 0, B, cands, rng, tries)
-    if c is None:
-        if p <= oracle_bound:
-            return _count_cubic(1, 0, 0, B, p)
-        raise RuntimeError(f"trace of E[-3]_t={num}/{den} at {p} ambiguous after {tries} points")
-    return c
-
-
-def ap(
-    spec: CurveSpec,
-    p: int,
-    *,
-    seed: int = 0,
-    oracle_bound: int = 20_000,
-    tries: int = _POINT_TRIES,
-    table: dict[int, CurveModel] | None = None,
-) -> ApRecord:
-    """Frobenius trace of E_t at a good odd prime p.
-
-    Supersingular primes are dispatched by the splitting of d alone; ordinary
-    traces go through the norm equation plus sign disambiguation (see module
-    docstring).  For ambiguous tiny p (group order dividing a candidate
-    difference) falls back to the naive count when p <= oracle_bound.
+    Supersingular primes are dispatched by the splitting of d alone; at split
+    p the norm equation gives the trace up to a unit, and a character value
+    picks the unit (see the module docstring).  A ``table`` model for d <= -7
+    must be a quadratic twist of the shipped one (else ValueError); its twist
+    class is folded into the quadratic character.
     """
     if not spec.is_good(p):
         raise ValueError(f"{spec} has bad reduction at {p}")
-    if jacobi(spec.d, p) == -1:
-        return ApRecord(p, 0, "supersingular")
-    if p < 5:
-        # char 3: no short model; count directly (still a well-defined trace)
-        return ApRecord(p, ap_naive(spec, p, table), "ordinary")
     d = spec.d
+    twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1
+    if jacobi(d, p) == -1:
+        return ApRecord(p, 0, "supersingular")
     if d == -4:
         pi = split_prime(p)
         e = quartic_exponent(spec.t, pi, p)
         a, b = pi.re, pi.im
         trace = (2 * a, 2 * b, -2 * a, -2 * b)[e]
     elif d == -3:
-        trace = _sextic_trace(spec.t.numerator, spec.t.denominator, p, seed, oracle_bound, tries)
+        pi = split_prime_eis(p)
+        for _ in range(cubic_exponent(spec.t, pi, p)):
+            pi = pi.times_omega()
+        tn = spec.t.numerator * spec.t.denominator
+        trace = -jacobi(tn, p) * (2 * pi.a - pi.b)
     else:
-        base = _stored_trace((table or default_table())[d], d, p, seed, oracle_bound, tries)
         s = -spec.t if d == -7 else spec.t
-        trace = jacobi((s.numerator * s.denominator) % p, p) * base
+        trace = jacobi(s.numerator * s.denominator * twist, p) * _base_trace(d, p)
     return ApRecord(p, trace, "ordinary")
 
 
 def ap_order(
-    spec: CurveSpec,
-    p: int,
-    m: int,
-    *,
-    seed: int = 0,
-    oracle_bound: int = 20_000,
-    table: dict[int, CurveModel] | None = None,
+    spec: CurveSpec, p: int, m: int, *, table: dict[int, CurveModel] | None = None
 ) -> int:
     """Order of the m-th power-residue class of a_p, i.e. of a_p^((p-1)/m) in F_p^×.
 
@@ -450,9 +322,7 @@ def ap_order(
     """
     if p % m != 1:
         raise ValueError(f"p = {p} is not 1 mod {m}")
-    rec = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table)
+    rec = ap(spec, p, table=table)
     if rec.ap == 0:
         raise ValueError(f"a_{p} = 0 (supersingular); no residue order")
-    from .primes import order_dividing
-
     return order_dividing(pow(rec.ap % p, (p - 1) // m, p), m, p)

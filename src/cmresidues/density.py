@@ -294,7 +294,7 @@ class ItemResult:
 
 
 def _scan_chunk(plan, bounds):
-    items, seed, oracle_bound, tries, table = plan
+    items, table = plan
     lo, hi = bounds
     groups: dict[tuple[int, Fraction], list[int]] = {}
     for idx, it in enumerate(items):
@@ -323,7 +323,7 @@ def _scan_chunk(plan, bounds):
             ]
             if not members:
                 continue
-            a = ap(specs[key], p, seed=seed, oracle_bound=oracle_bound, tries=tries, table=table).ap
+            a = ap(specs[key], p, table=table).ap
             am = a % p
             orders: dict[int, int] = {}
             for i in members:
@@ -355,9 +355,6 @@ def scan_batch(
     *,
     p_min: int = 5,
     workers: int = 1,
-    seed: int = 0,
-    oracle_bound: int = 20_000,
-    tries: int = 32,
     table: dict[int, CurveModel] | None = None,
     chunk: int = _CHUNK,
 ) -> list[ItemResult]:
@@ -368,7 +365,7 @@ def scan_batch(
     arguments regardless of `workers`.
     """
     items = tuple(items)
-    plan = (items, seed, oracle_bound, tries, table)
+    plan = (items, table)
     segments = PrimeRange(p_min, p_max, chunk).segments()
     if workers <= 1 or len(segments) <= 1:
         parts = [_scan_chunk(plan, seg) for seg in segments]
@@ -381,11 +378,7 @@ def scan_batch(
     ]
     for totals, tals in parts:
         for i, res in enumerate(results):
-            res.total += totals[i]
-            for m, counts in tals[i].items():
-                mine = res.tallies[m]
-                for o, c in counts.items():
-                    mine[o] = mine.get(o, 0) + c
+            res.merge(ItemResult(res.item, p_max, totals[i], tals[i]))
     return results
 
 
@@ -426,7 +419,8 @@ class Report:
     meta: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
-        return all(r.verdict != "fail" for r in self.rows)
+        """No failing verdict, and no row over an empty eligible set (N = 0)."""
+        return all(r.verdict != "fail" and r.N > 0 for r in self.rows)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -489,7 +483,7 @@ def _fmt_z(v: float | None) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
-def base_meta(p_max: int, seed: int, oracle_bound: int) -> dict:
+def base_meta(p_max: int) -> dict:
     from . import __version__
 
     # deliberately no worker count and no timestamps: reports must be
@@ -497,8 +491,6 @@ def base_meta(p_max: int, seed: int, oracle_bound: int) -> dict:
     return {
         "version": __version__,
         "p_max": p_max,
-        "seed": seed,
-        "oracle_bound": oracle_bound,
         "eisenstein_convention": PRIMARY_CONVENTION,
     }
 
@@ -595,8 +587,6 @@ def density_report(
     orders=None,
     p_max: int = 10**6,
     workers: int = 1,
-    seed: int = 0,
-    oracle_bound: int = 20_000,
     table: dict[int, CurveModel] | None = None,
     chunk: int = _CHUNK,
 ) -> Report:
@@ -610,12 +600,10 @@ def density_report(
         [ScanItem(d, Fraction(t), (m,), set_expr)],
         p_max,
         workers=workers,
-        seed=seed,
-        oracle_bound=oracle_bound,
         table=table,
         chunk=chunk,
     )[0]
-    return Report(density_rows(res, m, orders), base_meta(p_max, seed, oracle_bound))
+    return Report(density_rows(res, m, orders), base_meta(p_max))
 
 
 def conjecture_report(
@@ -627,8 +615,6 @@ def conjecture_report(
     orders=None,
     p_max: int = 10**6,
     workers: int = 1,
-    seed: int = 0,
-    oracle_bound: int = 20_000,
     table: dict[int, CurveModel] | None = None,
     chunk: int = _CHUNK,
 ) -> Report:
@@ -643,12 +629,10 @@ def conjecture_report(
         [ScanItem(d, Fraction(t), conjecture_moduli(d, m), set_expr)],
         p_max,
         workers=workers,
-        seed=seed,
-        oracle_bound=oracle_bound,
         table=table,
         chunk=chunk,
     )[0]
-    return Report(scaling_rows(res, m, orders), base_meta(p_max, seed, oracle_bound))
+    return Report(scaling_rows(res, m, orders), base_meta(p_max))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +647,8 @@ class SuiteResult:
     params: dict
 
     def ok(self) -> bool:
-        return not self.violations
+        """Clean only if something was checked: an empty suite is not a pass."""
+        return self.checked > 0 and not self.violations
 
 
 class _Recorder:
@@ -687,14 +672,16 @@ class _Recorder:
 _W2_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
 
 
-def _suite_twist(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_twist(ds, ts, p_max, oracle_bound, table, cap):
     """Quadratic twist law: a_p(E_t) = (t/p) · a_p(E_1) for the w=2 families.
 
     The left side is the naive count (independent of the twist bookkeeping in
     ``ap``), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
     """
     rec = _Recorder("twist", cap)
-    ds = [d for d in (ds or _W2_DISCRIMINANTS) if d not in (-3, -4)]
+    ds = ds or _W2_DISCRIMINANTS
+    if not set(ds) <= set(_W2_DISCRIMINANTS):
+        raise ValueError(f"twist suite covers the quadratic families {_W2_DISCRIMINANTS}, got {ds}")
     ts = ts or (Fraction(2), Fraction(3), Fraction(5))
     for d in ds:
         base = CurveSpec(d, Fraction(1))
@@ -708,12 +695,12 @@ def _suite_twist(ds, ts, p_max, seed, oracle_bound, table, cap):
                     rec.check(p, 0, lhs)
                     continue
                 sign = jacobi(spec.t.numerator * spec.t.denominator % p, p)
-                rhs = sign * ap(base, p, seed=seed, oracle_bound=oracle_bound, table=table).ap
+                rhs = sign * ap(base, p, table=table).ap
                 rec.check(p, rhs, lhs)
-    return rec.result(ds=ds, ts=[str(t) for t in ts], p_max=p_max)
+    return rec.result(ds=list(ds), ts=[str(t) for t in ts], p_max=p_max)
 
 
-def _suite_trace_oracle(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_trace_oracle(ds, ts, p_max, oracle_bound, table, cap):
     """d = -4 closed-form trace against the naive count, plus structure checks.
 
     For p <= oracle_bound the trace must equal the point count exactly; for
@@ -727,7 +714,7 @@ def _suite_trace_oracle(ds, ts, p_max, seed, oracle_bound, table, cap):
         for p in primes_in_range(5, p_max):
             if not spec.is_good(p):
                 continue
-            recd = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table)
+            recd = ap(spec, p, table=table)
             if p % 4 != 1:
                 rec.check(p, 0, recd.ap)
                 continue
@@ -747,7 +734,7 @@ def _suite_trace_oracle(ds, ts, p_max, seed, oracle_bound, table, cap):
     return rec.result(ts=[str(t) for t in ts], p_max=p_max, oracle_bound=oracle_bound)
 
 
-def _suite_quadratic(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_quadratic(ds, ts, p_max, oracle_bound, table, cap):
     """The quadratic residue class of a_p at every split prime.
 
     d ≠ -4: (a_p/p) = (d/p)_4 (Euler) for p ≡ 1 (mod 4) and -(t/p) for
@@ -764,7 +751,7 @@ def _suite_quadratic(ds, ts, p_max, seed, oracle_bound, table, cap):
                     continue
                 if d == -4 and p % 4 != 1:
                     continue
-                a = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table).ap
+                a = ap(spec, p, table=table).ap
                 tn = spec.t.numerator * spec.t.denominator % p
                 if d == -4:
                     expected = 1 if p % 8 == 1 else -jacobi(tn, p)
@@ -776,7 +763,7 @@ def _suite_quadratic(ds, ts, p_max, seed, oracle_bound, table, cap):
     return rec.result(ds=list(ds), ts=[str(t) for t in ts], p_max=p_max)
 
 
-def _suite_cubic(ds, ts, p_max, seed, oracle_bound, table, cap, convention=PRIMARY_CONVENTION):
+def _suite_cubic(ds, ts, p_max, oracle_bound, table, cap, convention=PRIMARY_CONVENTION):
     """The cubic residue class of a_p (d = -3) through the mod-9 cells.
 
     (a_p/π)_3 is trivial for p ≡ 1 (mod 9), and equals (t/π)_3^(±1) on the
@@ -790,7 +777,7 @@ def _suite_cubic(ds, ts, p_max, seed, oracle_bound, table, cap, convention=PRIMA
             if not spec.is_good(p) or p % 3 != 1:
                 continue
             pi = split_prime_eis(p, convention)
-            a = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table).ap
+            a = ap(spec, p, table=table).ap
             e_t = cubic_exponent(spec.t, pi, p)
             expected = {1: 0, 4: (2 * e_t) % 3, 7: e_t}[p % 9]
             rec.check(p, expected, cubic_exponent(a, pi, p))
@@ -809,7 +796,7 @@ def _sextic_rhs(p: int, tm: int) -> bool:
     return pow(tm, (p - 1) // 6, p) == p - 1
 
 
-def _suite_sextic_order1(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_sextic_order1(ds, ts, p_max, oracle_bound, table, cap):
     """Two-sided cell description of {order of the sextic class of a_p = 1}.
 
     The left side is computed from a_p, the right side from congruence and
@@ -822,7 +809,7 @@ def _suite_sextic_order1(ds, ts, p_max, seed, oracle_bound, table, cap):
         for p in primes_in_range(5, p_max):
             if not spec.is_good(p) or p % 3 != 1:
                 continue
-            lhs = ap_order(spec, p, 6, seed=seed, oracle_bound=oracle_bound, table=table) == 1
+            lhs = ap_order(spec, p, 6, table=table) == 1
             tm = spec.t.numerator * pow(spec.t.denominator, -1, p) % p
             rec.check(p, _sextic_rhs(p, tm), lhs)
     return rec.result(ts=[str(t) for t in ts], p_max=p_max)
@@ -843,7 +830,7 @@ def _odd_prime_factors(n: int):
         yield n
 
 
-def _suite_odd_factor(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_odd_factor(ds, ts, p_max, oracle_bound, table, cap):
     """Closed form for (ℓ/π)_4, ℓ an odd prime dividing re(π), vs Euler."""
     rec = _Recorder("odd-factor", cap)
     for p in primes_in_range(5, p_max):
@@ -855,7 +842,7 @@ def _suite_odd_factor(ds, ts, p_max, seed, oracle_bound, table, cap):
     return rec.result(p_max=p_max)
 
 
-def _suite_two_factor(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_two_factor(ds, ts, p_max, oracle_bound, table, cap):
     """Closed form for (2/π)_4 = (-i)^(b/2) vs Euler, all primary π."""
     rec = _Recorder("two-factor", cap)
     for p in primes_in_range(5, p_max):
@@ -866,7 +853,7 @@ def _suite_two_factor(ds, ts, p_max, seed, oracle_bound, table, cap):
     return rec.result(p_max=p_max)
 
 
-def _suite_trace_symbol(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_trace_symbol(ds, ts, p_max, oracle_bound, table, cap):
     """Exponent-level closed form for (a_p/π)_4 in the quartic family."""
     rec = _Recorder("trace-symbol", cap)
     ts = ts or (Fraction(1), Fraction(2), Fraction(-2), Fraction(3), Fraction(6), Fraction(-8))
@@ -878,12 +865,12 @@ def _suite_trace_symbol(ds, ts, p_max, seed, oracle_bound, table, cap):
             spec = CurveSpec(-4, Fraction(t))
             if not spec.is_good(p):
                 continue
-            a = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table).ap
+            a = ap(spec, p, table=table).ap
             rec.check(p, closed_form_trace_symbol(pi, spec.t).exp, quartic_exponent(a, pi, p))
     return rec.result(ts=[str(t) for t in ts], p_max=p_max)
 
 
-def _suite_nine_cells(ds, ts, p_max, seed, oracle_bound, table, cap):
+def _suite_nine_cells(ds, ts, p_max, oracle_bound, table, cap):
     """The nine-cell partition: membership, predicted order, pinned values.
 
     Checks that every eligible p lands in exactly the cell its set
@@ -902,7 +889,7 @@ def _suite_nine_cells(ds, ts, p_max, seed, oracle_bound, table, cap):
             cell = quartic_cell(p, spec.t)
             member = [c for c in QuarticCell if classify(p, exprs[c])]
             rec.check(p, [cell.value], [c.value for c in member])
-            a = ap(spec, p, seed=seed, oracle_bound=oracle_bound, table=table).ap
+            a = ap(spec, p, table=table).ap
             e = quartic_exponent(a, split_prime(p), p)
             got_order = {0: 1, 2: 2}.get(e, 4)
             rec.check(p, cell.trace_symbol_order, got_order)
@@ -923,6 +910,9 @@ SUITES = {
     "nine-cells": _suite_nine_cells,
 }
 
+_SUITES_WITH_DS = ("twist", "quadratic")
+_SUITES_WITHOUT_TS = ("odd-factor", "two-factor")
+
 
 def verify_suite(
     name: str,
@@ -930,17 +920,25 @@ def verify_suite(
     ds=None,
     ts=None,
     p_max: int = 100_000,
-    seed: int = 0,
     oracle_bound: int = 20_000,
     table: dict[int, CurveModel] | None = None,
     max_violations: int = _VIOLATION_CAP,
 ) -> SuiteResult:
-    """Run one exact per-prime suite; see SUITES for the tokens."""
+    """Run one exact per-prime suite; see SUITES for the tokens.
+
+    Only the twist and quadratic suites take discriminants; every other suite
+    fixes its own d, and odd-factor and two-factor take no twists.  Passing
+    what a suite cannot honour raises ValueError instead of being ignored.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
+    if ds is not None and name not in _SUITES_WITH_DS:
+        raise ValueError(f"suite {name!r} fixes its own discriminant; only {_SUITES_WITH_DS} take one")
+    if ts is not None and name in _SUITES_WITHOUT_TS:
+        raise ValueError(f"suite {name!r} takes no twist parameter")
     if ts is not None:
         ts = tuple(Fraction(t) for t in ts)
-    return SUITES[name](ds, ts, p_max, seed, oracle_bound, table, max_violations)
+    return SUITES[name](ds, ts, p_max, oracle_bound, table, max_violations)
 
 
 def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[str, int]:
@@ -957,7 +955,6 @@ def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[st
             None,
             tuple(Fraction(t) for t in ts),
             p_max,
-            kwargs.get("seed", 0),
             kwargs.get("oracle_bound", 20_000),
             kwargs.get("table"),
             _VIOLATION_CAP,

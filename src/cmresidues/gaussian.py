@@ -147,9 +147,7 @@ class QuarticSymbol:
 
 
 QUARTIC_ONE = QuarticSymbol(0)
-QUARTIC_I = QuarticSymbol(1)
 QUARTIC_MINUS_ONE = QuarticSymbol(2)
-QUARTIC_MINUS_I = QuarticSymbol(3)
 
 
 def quartic_exponent(x: int | Rational, pi: GaussInt, p: int | None = None) -> int:

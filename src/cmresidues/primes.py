@@ -164,7 +164,8 @@ def sqrt_mod(a: int, p: int) -> int:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
-            assert i < m, "Tonelli-Shanks order overflow; p not prime?"
+            if i >= m:
+                raise ValueError(f"sqrt_mod: Tonelli-Shanks failed modulo {p}; {p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p

@@ -242,14 +242,14 @@ def test_08_scaling_predictions_at_1e7(big_scan):
 
 
 def test_09_reports_byte_identical_across_workers():
-    big = dict(p_max=PMAX_BIG, seed=0)
+    big = dict(p_max=PMAX_BIG)
     a = density_report(-4, 3, 4, workers=1, **big)
     b = density_report(-4, 3, 4, workers=8, **big)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
     assert a.all_pass()
 
-    small = dict(p_max=10**6, seed=0)  # exercises the point-count tiebreak path
+    small = dict(p_max=10**6)
     c = density_report(-7, 1, 2, workers=1, **small)
     d = density_report(-7, 1, 2, workers=8, **small)
     assert c.to_csv() == d.to_csv()

@@ -41,13 +41,7 @@ def test_density_json_meta(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload["meta"]) == {
-        "version",
-        "p_max",
-        "seed",
-        "oracle_bound",
-        "eisenstein_convention",
-    }
+    assert set(payload["meta"]) == {"version", "p_max", "eisenstein_convention"}
     assert payload["meta"]["p_max"] == 10000
     assert len(payload["rows"]) == 2
 
@@ -86,6 +80,35 @@ def test_density_with_opaque_set(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert all(row[10] == "n/a" and row[7] == "" for row in rows)
     assert all(row[4] == "g8(5) & symord(2;3;1)" for row in rows)
+
+
+def test_density_negated_set(capsys):
+    # `!` is the one negation spelling: parser, str() and README agree
+    code, out, _ = run(
+        capsys, "density", "--d", "-4", "--m", "4", "--set", "!mod(8;1)", "--pmax", "20000"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert all(row[4] == "!mod(8;1)" and int(row[5]) > 0 for row in rows)
+
+
+def test_empty_eligible_set_exits_1(capsys):
+    # p ≡ 1 (mod 4) and p ≡ 3 (mod 4) never meet: N = 0 is no pass
+    for command in ("density", "conjecture"):
+        code, out, _ = run(
+            capsys, command, "--d", "-4", "--m", "4", "--set", "mod(4;3)", "--pmax", "20000"
+        )
+        assert code == 1, command
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(row[5] == "0" and row[10] == "n/a" for row in rows)
+
+
+def test_verify_nothing_checked_exits_1(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "two-factor", "--pmax", "5")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checked"] == 0 and payload["violations"] == []
+    assert payload["ok"] is False
 
 
 def test_conjecture_rows(capsys):
@@ -221,6 +244,11 @@ def test_config_file_missing(capsys):
         (["density", "--d", "-7", "--m", "2", "--workers", "0"], "--workers must be positive"),
         (["density", "--d", "-7", "--m", "2", "--set", "foo(1)"], "bad set expression"),
         (["density", "--d", "-7", "--m", "2", "--set", "mod(8;1"], "bad set expression"),
+        (["verify", "--suite", "twist", "--d", "-4", "--pmax", "1000"], "twist suite covers"),
+        (["verify", "--suite", "cubic", "--d", "-7", "--pmax", "1000"], "fixes its own discriminant"),
+        (["verify", "--suite", "two-factor", "--t", "3", "--pmax", "1000"], "takes no twist"),
+        (["density", "--d", "-7", "--m", "2", "--n", "3"], "--n 3 does not divide --m 2"),
+        (["conjecture", "--d", "-7", "--m", "2", "--n", "3"], "--n 3 does not divide --m 2"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):

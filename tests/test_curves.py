@@ -1,9 +1,10 @@
 """Trace computation: fast CM routes vs the naive character-sum count.
 
-The two routes share nothing but the model table (the d = -4 / -3 fast
-paths do not even share that), so agreement over a dense grid of small
-primes is a genuine cross-check, and the naive count itself is pinned by
-Hasse + supersingularity structure.
+The closed-form route reads the model table only for the twist class of a
+non-shipped model, and the naive route only counts points on it, so
+agreement over a dense grid of small primes, and a sample of large ones, is
+a genuine cross-check; the naive count itself is pinned by Hasse +
+supersingularity structure.
 """
 
 import random
@@ -16,7 +17,8 @@ from cmresidues.curves import (
     ApRecord,
     CurveModel,
     CurveSpec,
-    _trace_from_candidates,
+    _count_cubic,
+    _chi_table,
     ap,
     ap_naive,
     ap_order,
@@ -24,6 +26,7 @@ from cmresidues.curves import (
     cornacchia_4p,
     default_table,
     load_curve_table,
+    model_twist,
     unit_count,
 )
 from cmresidues.primes import jacobi, order_dividing, primes_in_range
@@ -210,17 +213,8 @@ def test_quadratic_twist_law():
                 assert ap(b, p).ap == jacobi(s % p, p) * ap(a, p).ap, (d, s, p)
 
 
-def test_seed_independence():
-    # the RNG only picks probe points; the trace itself is canonical
-    for d in (-3, -11, -163):
-        spec = CurveSpec(d, 7)
-        for p in primes_in_range(5, 300):
-            if spec.is_good(p):
-                assert ap(spec, p, seed=0).ap == ap(spec, p, seed=987654321).ap
-
-
 def test_char_three_path():
-    # p = 3 has no short Weierstrass model; the naive path must still serve
+    # p = 3 has no short Weierstrass model; the closed forms hold there too
     for d in (-8, -11):
         spec = CurveSpec(d, 1)
         assert spec.is_good(3)
@@ -229,18 +223,60 @@ def test_char_three_path():
         assert rec.ap * rec.ap <= 4 * 3
 
 
-def test_ambiguous_candidates_return_none():
-    # candidate sets whose differences kill the whole group cannot be separated
-    p = 13
-    spec = CurveSpec(-8, 1)
-    a = ap_naive(spec, p)
-    n = p + 1 - a  # group order
-    A, B = default_table()[-8].short_coeffs(p)
-    rng = random.Random(0)
-    assert _trace_from_candidates(p, A, B, [a, a - n], rng, tries=6) is None
-    # while genuinely separable candidates do get separated
-    rng = random.Random(0)
-    assert _trace_from_candidates(p, A, B, [a, a + 1], rng, tries=6) == a
+def test_closed_forms_match_naive_near_1e6():
+    # far past criterion 1's 2·10⁴: ~30 split primes per family in [9·10⁵, 10⁶]
+    rng = random.Random(2006)
+    pool = rng.sample(list(primes_in_range(900_000, 1_000_000)), 64)
+    twists = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(7, 4), Fraction(-3, 4))
+    try:
+        for d in DISCRIMINANTS:
+            split = [p for p in pool if jacobi(d, p) == 1]
+            assert len(split) >= 25, d
+            for i, p in enumerate(split):
+                spec = CurveSpec(d, twists[i % len(twists)])
+                assert ap(spec, p).ap == ap_naive(spec, p), (d, spec.t, p)
+    finally:
+        _chi_table.cache_clear()  # 64 tables of ~1 MB each
+
+
+def _twisted_model(d, D):
+    """Short model of the quadratic twist by D of the shipped E^d."""
+    c4, c6 = default_table()[d].c_invariants()
+    return CurveModel(0, 0, 0, -27 * D * D * c4, -54 * D**3 * c6)
+
+
+@pytest.mark.parametrize("d", [-7, -8, -11, -19, -43, -67, -163])
+def test_twisted_table_models(d):
+    for D in (-1, 2, -3):
+        table = dict(default_table())
+        table[d] = _twisted_model(d, D)
+        assert model_twist(d, table[d]) == D
+        for t in (Fraction(1), Fraction(-5, 3)):
+            spec = CurveSpec(d, t)
+            for p in primes_in_range(5, 700):  # the short model is singular at 2 and 3
+                if spec.is_good(p):
+                    assert ap(spec, p, table=table).ap == ap_naive(spec, p, table), (D, t, p)
+
+
+def test_non_twist_model_rejected():
+    table = dict(default_table())
+    table[-11] = default_table()[-19]  # CM by another order: a different j
+    for p in (13, 23):  # inert and split for d = -11
+        with pytest.raises(ValueError, match="not a twist"):
+            ap(CurveSpec(-11), p, table=table)
+
+
+def test_naive_count_limit_edge():
+    # 1999993 is the largest prime <= 2·10⁶, 2000003 the next one
+    spec = CurveSpec(-4, 1)
+    try:
+        assert ap_naive(spec, 1_999_993) == ap(spec, 1_999_993).ap
+    finally:
+        _chi_table.cache_clear()
+    with pytest.raises(ValueError, match="int64-safe limit"):
+        ap_naive(spec, 2_000_003)
+    with pytest.raises(ValueError, match="int64-safe limit"):
+        _count_cubic(1, 0, -1, 0, 2_000_003)
 
 
 # ---------------------------------------------------------------------------

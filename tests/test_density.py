@@ -342,7 +342,7 @@ def _tiny_report():
         ReportRow(-7, Fraction(1, 2), 2, 2, "mod(8;1)", 1000, 0.751234567891, Fraction(3, 4), "quadratic-table", 0.0901, "pass"),
         ReportRow(-4, Fraction(3), 8, 8, "", 0, None, None, "", None, "n/a"),
     ]
-    return Report(rows, base_meta(10**6, 0, 20_000))
+    return Report(rows, base_meta(10**6))
 
 
 def test_report_csv_format():
@@ -360,13 +360,7 @@ def test_report_json_format():
     rep = _tiny_report()
     payload = json.loads(rep.to_json())
     assert set(payload) == {"meta", "rows"}
-    assert set(payload["meta"]) == {
-        "version",
-        "p_max",
-        "seed",
-        "oracle_bound",
-        "eisenstein_convention",
-    }
+    assert set(payload["meta"]) == {"version", "p_max", "eisenstein_convention"}
     assert payload["meta"]["eisenstein_convention"] == "two-mod-three"
     assert payload["rows"][0]["predicted"] == "1/4"
     assert payload["rows"][0]["t"] == "1"
@@ -376,8 +370,12 @@ def test_report_json_format():
 
 def test_report_all_pass():
     rep = _tiny_report()
-    assert rep.all_pass()  # n/a does not fail a report
-    rep.rows[0].verdict = "fail"
+    assert not rep.all_pass()  # a row over an empty eligible set (N = 0) is no pass
+    rep.rows.pop()
+    assert rep.all_pass()
+    rep.rows[0].verdict = "n/a"
+    assert rep.all_pass()  # n/a with N > 0 does not fail a report
+    rep.rows[1].verdict = "fail"
     assert not rep.all_pass()
 
 
@@ -484,6 +482,19 @@ def test_verify_suite_restrictions_and_errors():
     assert res.ok() and res.params["ds"] == [-11]
     with pytest.raises(ValueError, match="unknown suite"):
         verify_suite("frobenius")
+    # nothing the suite cannot honour is silently dropped
+    with pytest.raises(ValueError, match="twist suite covers"):
+        verify_suite("twist", ds=[-7, -4], p_max=2_000)
+    with pytest.raises(ValueError, match="fixes its own discriminant"):
+        verify_suite("nine-cells", ds=[-4], p_max=2_000)
+    with pytest.raises(ValueError, match="takes no twist"):
+        verify_suite("odd-factor", ts=[3], p_max=2_000)
+
+
+def test_empty_suite_is_not_a_pass():
+    res = verify_suite("odd-factor", p_max=5)
+    assert res.checked == 0 and res.violations == []
+    assert not res.ok()
 
 
 def _doctored_table():

@@ -67,6 +67,14 @@ def test_sqrt_mod_roundtrip(p):
     assert found > 10
 
 
+def test_sqrt_mod_composite_modulus_raises():
+    # (5/21) = (5/3)(5/7) = +1, yet 5 is no square mod 3: Tonelli-Shanks runs
+    # past its order bound, which must raise rather than return a wrong root
+    assert jacobi(5, 21) == 1
+    with pytest.raises(ValueError, match="not prime"):
+        sqrt_mod(5, 21)
+
+
 def test_order_dividing_vs_sympy():
     p = 10007
     for m in (2, 3, 4, 6, 8, 9, 12):
