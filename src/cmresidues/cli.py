@@ -49,7 +49,7 @@ class RunConfig:
     set_expr_text: str | None = None
     p_max: int = 100_000
     oracle_bound: int = 20_000
-    workers: int = 1
+    workers: int | None = None
     out_format: str = "csv"
     out_path: str | None = None
     curve_table: str | None = None
@@ -58,7 +58,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.p_max < 5:
             raise UsageError(f"--pmax must be at least 5, got {self.p_max}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise UsageError(f"--workers must be positive, got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise UsageError(f"--format must be csv or json, got {self.out_format!r}")
@@ -140,8 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# keys only one side uses: verify runs no scan, the scans run no suite
+_SCAN_ONLY = ("m", "n", "set", "workers")
+_VERIFY_ONLY = ("suite", "oracle-bound")
+
+
 def _merge(args: argparse.Namespace) -> RunConfig:
     file_values = read_config_file(args.config) if args.config else {}
+    unused = _SCAN_ONLY if args.command == "verify" else _VERIFY_ONLY
+    for key in unused:
+        if key in file_values:
+            raise UsageError(f"{args.command} does not take config key {key!r}")
 
     def pick(flag: str, attr: str, default=None):
         v = getattr(args, attr, None)
@@ -165,11 +174,11 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         set_expr_text=pick("set", "set_expr"),
         p_max=pick("pmax", "pmax", 100_000),
         oracle_bound=pick("oracle-bound", "oracle_bound", 20_000),
-        workers=pick("workers", "workers", 1),
+        workers=pick("workers", "workers"),
         out_format=pick("format", "format", "csv"),
         out_path=pick("out", "out"),
         curve_table=pick("curve-table", "curve_table"),
-        suite=pick("suite", "suite", None) if args.command == "verify" else None,
+        suite=pick("suite", "suite"),
     )
 
 
@@ -189,6 +198,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise UsageError("verify needs --suite; pick from " + ", ".join(sorted(SUITES)))
     if cfg.suite not in SUITES:
         raise UsageError(f"unknown suite {cfg.suite!r}; pick from " + ", ".join(sorted(SUITES)))
+    given = {"--m": cfg.m, "--n": cfg.n, "--set": cfg.set_expr_text, "--workers": cfg.workers}
+    unused = [flag for flag, value in given.items() if value is not None]
+    if unused:
+        raise UsageError(f"verify does not take {', '.join(unused)}: suites run no scan")
     res = verify_suite(
         cfg.suite,
         ds=[cfg.d] if cfg.d is not None else None,
@@ -227,7 +240,7 @@ def _cmd_scan(cfg: RunConfig, make_report) -> int:
         set_expr=_parsed_set(cfg),
         orders=[cfg.n] if cfg.n is not None else None,
         p_max=cfg.p_max,
-        workers=cfg.workers,
+        workers=cfg.workers or 1,
         table=_load_table(cfg),
     )
     _emit(report.to_csv() if cfg.out_format == "csv" else report.to_json(), cfg)

@@ -75,6 +75,10 @@ class CurveModel:
         b2, b4, b6 = self.b_invariants()
         return b2 * b2 - 24 * b4, -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
 
+    def discriminant(self) -> int:
+        c4, c6 = self.c_invariants()
+        return (c4**3 - c6**2) // 1728
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -95,9 +99,20 @@ class CurveSpec:
     def w(self) -> int:
         return unit_count(self.d)
 
-    def is_good(self, p: int) -> bool:
-        """Good odd primes of E_t: p ∤ 2·d·num(t)·den(t).  p = 2 is never good."""
-        return p > 2 and (2 * self.d * self.t.numerator * self.t.denominator) % p != 0
+    def is_good(self, p: int, table: dict[int, CurveModel] | None = None) -> bool:
+        """Good odd primes of E_t: p ∤ 2·d·num(t)·den(t).  p = 2 is never good.
+
+        Under a ``table`` whose model for d differs from the shipped one, the
+        primes dividing that model's discriminant are bad too.
+        """
+        return p > 2 and self.bad_product(table) % p != 0
+
+    def bad_product(self, table: dict[int, CurveModel] | None = None) -> int:
+        """An integer whose odd prime factors are the bad primes of E_t."""
+        bad = 2 * self.d * self.t.numerator * self.t.denominator
+        if table is not None and self.d <= -7 and table[self.d] != default_table()[self.d]:
+            bad *= table[self.d].discriminant()
+        return bad
 
     def __str__(self) -> str:
         return f"E[{self.d}]_t={self.t}"
@@ -222,7 +237,7 @@ def _reduce_t(t: Fraction, p: int) -> int:
 
 def ap_naive(spec: CurveSpec, p: int, table: dict[int, CurveModel] | None = None) -> int:
     """Frobenius trace by direct point count — the slow, assumption-free route."""
-    if not spec.is_good(p):
+    if not spec.is_good(p, table):
         raise ValueError(f"{spec} has bad reduction at {p}")
     tm = _reduce_t(spec.t, p)
     if spec.d == -4:
@@ -288,9 +303,10 @@ def ap(spec: CurveSpec, p: int, *, table: dict[int, CurveModel] | None = None) -
     p the norm equation gives the trace up to a unit, and a character value
     picks the unit (see the module docstring).  A ``table`` model for d <= -7
     must be a quadratic twist of the shipped one (else ValueError); its twist
-    class is folded into the quadratic character.
+    class is folded into the quadratic character, and the primes dividing
+    its discriminant are bad.
     """
-    if not spec.is_good(p):
+    if not spec.is_good(p, table):
         raise ValueError(f"{spec} has bad reduction at {p}")
     d = spec.d
     twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1

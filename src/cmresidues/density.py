@@ -30,7 +30,10 @@ from fractions import Fraction
 from math import gcd
 from multiprocessing import get_context
 
+import numpy as np
+
 from .curves import CurveModel, CurveSpec, ap, ap_naive, ap_order, unit_count
+from .engine import P_LIMIT, Segment, residue_orders, set_mask
 from .eisenstein import PRIMARY_CONVENTION, cubic_exponent, split_prime_eis
 from .gaussian import (
     closed_form_odd_factor,
@@ -47,7 +50,6 @@ from .primes import (
     euler_phi,
     jacobi,
     kfree_reduce,
-    order_dividing,
     primes_in_range,
     squarefree_part,
 )
@@ -157,7 +159,8 @@ def predict_orders(
     at (g/m) · δ_g¹ (the leading table) — the dict is then partial, and the
     remaining orders belong to the scaling law.
     """
-    assert cond_m % sym_m == 0
+    if cond_m % sym_m:
+        raise ValueError(f"conditioning modulus {cond_m} is not a multiple of the symbol modulus {sym_m}")
     g = gcd(sym_m, unit_count(d))
     if g == sym_m:
         if d == -4:
@@ -285,7 +288,8 @@ class ItemResult:
         return self.count(m, n) / self.total if self.total else 0.0
 
     def merge(self, other: "ItemResult") -> None:
-        assert self.item == other.item
+        if self.item != other.item:
+            raise ValueError(f"cannot merge tallies of {other.item} into {self.item}")
         self.total += other.total
         for m, counts in other.tallies.items():
             mine = self.tallies[m]
@@ -294,46 +298,33 @@ class ItemResult:
 
 
 def _scan_chunk(plan, bounds):
+    """Tallies of every item over the primes of one segment, as numpy stages.
+
+    Sieve, norm form and trace run once per (d, t) group; the eligible set
+    of each item is one mask (good, split, ≡ 1 mod every modulus, in
+    ``extra``), and the order of the m-class once per (group, m).
+    """
     items, table = plan
-    lo, hi = bounds
-    groups: dict[tuple[int, Fraction], list[int]] = {}
+    seg = Segment(*bounds)
+    groups: dict[CurveSpec, list[int]] = {}
     for idx, it in enumerate(items):
-        groups.setdefault((it.d, it.t), []).append(idx)
-    specs = {key: CurveSpec(*key) for key in groups}
-    bad_products = {key: 2 * key[0] * key[1].numerator * key[1].denominator for key in groups}
-    lcms = [math.lcm(*it.moduli) for it in items]
+        groups.setdefault(CurveSpec(it.d, it.t), []).append(idx)
     totals = [0] * len(items)
-    tallies: list[dict[int, dict[int, int]]] = [{m: {} for m in it.moduli} for it in items]
-    for p in primes_in_range(lo, hi):
-        jac: dict[int, int] = {}
-        for key, idxs in groups.items():
-            if bad_products[key] % p == 0:
-                continue
-            d = key[0]
-            jd = jac.get(d)
-            if jd is None:
-                jd = jac[d] = jacobi(d, p)
-            if jd != 1:
-                continue
-            members = [
-                i
-                for i in idxs
-                if p % lcms[i] == 1
-                and (items[i].extra is None or classify(p, items[i].extra))
-            ]
-            if not members:
-                continue
-            a = ap(specs[key], p, table=table).ap
-            am = a % p
-            orders: dict[int, int] = {}
-            for i in members:
-                for m in items[i].moduli:
-                    o = orders.get(m)
-                    if o is None:
-                        o = orders[m] = order_dividing(pow(am, (p - 1) // m, p), m, p)
-                    cnt = tallies[i][m]
-                    cnt[o] = cnt.get(o, 0) + 1
-                totals[i] += 1
+    tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
+    for spec, idxs in groups.items():
+        ps, a = seg.traces(spec, table)
+        orders: dict[int, np.ndarray] = {}
+        for i in idxs:
+            it = items[i]
+            keep = ps % math.lcm(*it.moduli) == 1
+            if it.extra is not None:
+                keep &= set_mask(it.extra, ps, seg)
+            totals[i] = int(keep.sum())
+            for m in it.moduli:
+                if m not in orders:
+                    orders[m] = residue_orders(a, ps, m)
+                counts = np.bincount(orders[m][keep], minlength=m + 1).tolist()
+                tallies[i][m] = {n: c for n, c in enumerate(counts) if c}
     return totals, tallies
 
 
@@ -362,8 +353,11 @@ def scan_batch(
 
     Segment boundaries depend only on (p_min, p_max, chunk); merging integer
     tallies is order-independent, so the result is a pure function of the
-    arguments regardless of `workers`.
+    arguments regardless of `workers`.  The engine's residues are uint64, so
+    p_max may be at most 2**32 (ValueError otherwise).
     """
+    if p_max > P_LIMIT:
+        raise ValueError(f"p_max = {p_max} is past the engine's limit 2**32 (uint64 products)")
     items = tuple(items)
     plan = (items, table)
     segments = PrimeRange(p_min, p_max, chunk).segments()
@@ -688,7 +682,7 @@ def _suite_twist(ds, ts, p_max, oracle_bound, table, cap):
         for t in ts:
             spec = CurveSpec(d, Fraction(t))
             for p in primes_in_range(5, p_max):
-                if not spec.is_good(p) or not base.is_good(p):
+                if not spec.is_good(p, table) or not base.is_good(p, table):
                     continue
                 lhs = ap_naive(spec, p, table)
                 if jacobi(d, p) != 1:
@@ -747,7 +741,7 @@ def _suite_quadratic(ds, ts, p_max, oracle_bound, table, cap):
         for t in ts:
             spec = CurveSpec(d, Fraction(t))
             for p in primes_in_range(5, p_max):
-                if not spec.is_good(p) or jacobi(d, p) != 1:
+                if not spec.is_good(p, table) or jacobi(d, p) != 1:
                     continue
                 if d == -4 and p % 4 != 1:
                     continue

@@ -1,0 +1,257 @@
+"""Vectorised segment engine: the scan chain as numpy stages over one segment.
+
+Class number one makes the primes that split in d exactly the prime values
+of one norm form, so a segment of the prime range needs no per-prime Python
+work at all:
+
+* sieve: ``primes.prime_array`` lists the primes of the segment;
+* norm form: ``Segment.form`` walks the lattice points of p = x² + y²,
+  x² + 3y², x² + 2y² or 4p = u² + |d|v² over the segment, in blocks of
+  ``_BLOCK`` points and only through the admissible parity, and keeps the
+  prime values; the primary divisors in Z[i] and Z[ω] follow from them;
+* trace: ``Segment.traces`` evaluates a_p by the closed forms of
+  ``curves.ap`` — quadratic characters by Euler's criterion, the quartic
+  and cubic characters by comparing v·b with ∓a mod p (so no modular
+  inverse), and Legendre tables mod |d| and mod 8 for the base traces;
+* eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
+* order: ``residue_orders`` by square-and-multiply.
+
+Every residue is held below p and every product of two residues is formed
+in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``).
+The scalar functions (``ap``, ``classify``, ``order_dividing``) are the
+reference the engine is tested against prime by prime.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+import numpy as np
+
+from .curves import CurveModel, CurveSpec, model_twist
+from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
+from .primes import _divisors, jacobi, prime_array
+
+P_LIMIT = 1 << 32
+_BLOCK = 4096  # lattice points per enumeration block
+
+
+def mod_array(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for every p in ps, for an integer n of any size.
+
+    |n| is reduced one 32-bit limb at a time, most significant first;
+    r·2³² + limb < 2⁶⁴ because r < p < 2³².
+    """
+    pu = ps.astype(np.uint64)
+    r = np.zeros(len(ps), dtype=np.uint64)
+    a = abs(n)
+    for shift in range(32 * ((a.bit_length() - 1) // 32), -1, -32):
+        r = ((r << np.uint64(32)) | np.uint64((a >> shift) & 0xFFFFFFFF)) % pu
+    if n < 0:
+        r = (pu - r) % pu
+    return r.astype(np.int64)
+
+
+def pow_array(base: np.ndarray, exp, ps: np.ndarray) -> np.ndarray:
+    """base**exp mod p elementwise, 0 <= base < p < 2³², exp an int or an array."""
+    p = ps.astype(np.uint64)
+    b = base.astype(np.uint64)
+    e = np.broadcast_to(np.asarray(exp, dtype=np.int64), ps.shape).astype(np.uint64)
+    r = np.ones(len(ps), dtype=np.uint64)
+    rb = np.empty_like(r)
+    one = np.uint64(1)
+    while e.any():  # in place: a segment's temporaries stay a few arrays
+        np.multiply(r, b, out=rb)
+        rb %= p
+        np.copyto(r, rb, where=(e & one).astype(bool))
+        e >>= one
+        b *= b
+        b %= p
+    return r.astype(np.int64)
+
+
+def legendre_array(n: int, ps: np.ndarray) -> np.ndarray:
+    """(n/p) for every odd prime p in ps by Euler's criterion: 1, -1, or 0 where p | n."""
+    v = pow_array(mod_array(n, ps), (ps - 1) // 2, ps)
+    return np.where(v == 1, 1, np.where(v == 0, 0, -1))
+
+
+def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
+    """Multiplicative order of v mod p elementwise, given that it divides m.
+
+    Raises ValueError where it does not (v ≡ 0, or v^m ≠ 1), as ``order_dividing`` does.
+    """
+    order = np.zeros(len(ps), dtype=np.int64)
+    for n in _divisors(m):
+        order[(order == 0) & (pow_array(v, n, ps) == 1)] = n
+    if (order == 0).any():
+        raise ValueError(f"order_array: a value has no multiplicative order dividing {m}")
+    return order
+
+
+def residue_orders(a: np.ndarray, ps: np.ndarray, m: int) -> np.ndarray:
+    """Order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m); 0 elsewhere."""
+    out = np.zeros(len(ps), dtype=np.int64)
+    sel = ps % m == 1
+    q = ps[sel]
+    out[sel] = order_array(pow_array(a[sel] % q, (q - 1) // m, q), m, q)
+    return out
+
+
+def _exponent(hits: list[np.ndarray]) -> np.ndarray:
+    """Index of the first true entry of ``hits`` per position (the symbol's exponent)."""
+    e = np.select(hits, list(range(len(hits))), default=-1)
+    if (e < 0).any():
+        raise ValueError("character value is not a root of unity of the expected order")
+    return e
+
+
+# d -> (D, scale, first y, y step, alpha, beta): the prime values
+# p = (x² + D·y²)/scale with x, y > 0 and x ≡ alpha·y + beta (mod 2).
+_FORMS = {
+    -4: (1, 1, 2, 2, 0, 1),  # p = a² + b², a odd, b even
+    -3: (3, 1, 1, 1, 1, 1),  # p = x² + 3y², x + y odd
+    -8: (2, 1, 1, 1, 0, 1),  # p = x² + 2y², x odd
+    -7: (7, 4, 2, 2, 0, 0),  # 4p = u² + 7v², u and v even
+}
+
+
+def _form(d: int) -> tuple[int, ...]:
+    return _FORMS.get(d, (-d, 4, 1, 1, 1, 0))  # 4p = u² + |d|v², u ≡ v (mod 2)
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for int64 n >= 0, exact (a float estimate, corrected by one)."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _gaussian_primary(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The primary divisor a + bi (b > 0) of p = x² + y², x odd, y even (``split_prime``)."""
+    return np.where((x + y) % 4 == 1, x, -x), y
+
+
+def _eisenstein_primary(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A divisor a + bω ≡ 2 (mod 3) of p = x² + 3y² (``split_prime_eis`` or its conjugate)."""
+    a, b = x + y, 2 * y  # norm (x+y)² - 2y(x+y) + 4y² = p
+    rotations = [(a, b), (-b, a - b), (b - a, -a)]  # times 1, ω, ω²
+    on_axis = [rb % 3 == 0 for _, rb in rotations]  # exactly one, as 3 ∤ p
+    a = np.select(on_axis, [ra for ra, _ in rotations])
+    b = np.select(on_axis, [rb for _, rb in rotations])
+    sign = np.where(a % 3 == 2, 1, -1)
+    return sign * a, sign * b
+
+
+class Segment:
+    """The primes of [lo, hi) and, on demand, the norm-form solutions of each d."""
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        self.primes = prime_array(lo, hi)
+        self._is_prime: np.ndarray | None = None
+        self._forms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def form(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, x, y), increasing in p: every prime p of the segment split in d, with
+        its unique solution x, y > 0 of the norm form of d (see ``_FORMS``)."""
+        if d in self._forms:
+            return self._forms[d]
+        if self._is_prime is None:
+            self._is_prime = np.zeros(max(0, self.hi - self.lo), dtype=bool)
+            self._is_prime[self.primes - self.lo] = True
+        D, scale, y0, ystep, alpha, beta = _form(d)
+        lo, hi = scale * self.lo, scale * self.hi  # the form's values lie in [lo, hi)
+        ys = np.arange(y0, isqrt(max(0, hi - 2) // D) + 1, ystep, dtype=np.int64)
+        dy = D * ys * ys
+        x0 = _isqrt(np.maximum(lo - dy, 1) - 1) + 1  # least x > 0 with x² + Dy² >= lo
+        x1 = _isqrt(hi - 1 - dy)  # greatest x with x² + Dy² < hi
+        x0 += (x0 - alpha * ys - beta) % 2  # first x of the admissible parity
+        counts = np.maximum((x1 - x0) // 2 + 1, 0)
+        rows = counts > 0
+        ys, x0, counts = ys[rows], x0[rows], counts[rows]
+        starts = np.cumsum(counts) - counts  # index of the first point of each row
+        total = int(counts.sum())
+        x_of = np.zeros(len(self.primes), dtype=np.int64)  # solution at each prime, 0 if inert
+        y_of = np.zeros_like(x_of)
+        for k0 in range(0, total, _BLOCK):
+            k = np.arange(k0, min(k0 + _BLOCK, total), dtype=np.int64)
+            row = np.searchsorted(starts, k, side="right") - 1
+            x = x0[row] + 2 * (k - starts[row])
+            y = ys[row]
+            p = (x * x + D * y * y) // scale
+            prime = self._is_prime[p - self.lo]
+            at = np.searchsorted(self.primes, p[prime])
+            x_of[at], y_of[at] = x[prime], y[prime]
+        split = x_of > 0
+        self._forms[d] = out = (self.primes[split], x_of[split], y_of[split])
+        return out
+
+    def traces(
+        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(p, a_p) at every good prime of E_t split in d, increasing in p (cf. ``curves.ap``)."""
+        d, t = spec.d, spec.t
+        twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1
+        ps, x, y = self.form(d)
+        good = mod_array(spec.bad_product(table), ps) != 0
+        ps, x, y = ps[good], x[good], y[good]
+        tn, td = t.numerator, t.denominator
+        if d == -4:
+            a, b = _gaussian_primary(x, y)
+            v = pow_array(mod_array(tn * td**3, ps), (ps - 1) // 4, ps)  # t^((p-1)/4)
+            vb = v * b % ps
+            e = _exponent([v == 1, vb == -a % ps, v == ps - 1, vb == a % ps])
+            return ps, np.choose(e, [2 * a, 2 * b, -2 * a, -2 * b])
+        if d == -3:
+            a, b = _eisenstein_primary(x, y)
+            v = pow_array(mod_array(tn * td**2, ps), (ps - 1) // 3, ps)  # t^((p-1)/3)
+            vb = v * b % ps
+            e = _exponent([v == 1, vb == -a % ps, vb == (a - b) % ps])
+            trace = np.choose(e, [2 * a - b, -a - b, 2 * b - a])  # Tr(ω^e·π)
+            return ps, -legendre_array(tn * td, ps) * trace
+        # the base trace of the shipped model (``curves._base_trace``) from Legendre tables
+        if d == -8:  # (-2/x)·2x, negated when y ≡ 2 (mod 4)
+            chi = np.array([jacobi(-2, r) if r % 2 else 0 for r in range(8)])
+            base = np.where(y % 4 == 2, -2, 2) * chi[x % 8] * x
+        else:  # (u/7)·u for d = -7, -(u/|d|)·u otherwise
+            chi = np.array([jacobi(r, -d) for r in range(-d)])
+            base = (1 if d == -7 else -1) * chi[x % -d] * x
+        s = -t if d == -7 else t
+        return ps, legendre_array(s.numerator * s.denominator * twist, ps) * base
+
+    def gaussian(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Primary divisor a + bi, b > 0, of each p ≡ 1 (mod 4) of the segment in ps."""
+        p4, x, y = self.form(-4)
+        idx = np.searchsorted(p4, ps)
+        return _gaussian_primary(x[idx], y[idx])
+
+
+def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
+    """``classify(p, expr)`` for every prime p in ps (primes of ``seg``)."""
+    if isinstance(expr, CongMod):
+        return np.isin(ps % expr.modulus, expr.residues)
+    if isinstance(expr, SymOrder):
+        m, t = expr.m, expr.t
+        out = ps % m == 1
+        q = ps[out]
+        tm = mod_array(t.numerator * t.denominator ** (m - 1), q)  # t ≡ num·den^(m-1) mod m-th powers
+        member = tm != 0
+        q, tm = q[member], tm[member]
+        member[member] = order_array(pow_array(tm, (q - 1) // m, q), m, q) == expr.n
+        out[out] = member
+        return out
+    if isinstance(expr, G8):
+        out = ps % 8 == 1
+        a, b = seg.gaussian(ps[out])
+        a8, b8 = int(expr.klass[0]), 4 if expr.klass.endswith("4i") else 0
+        out[out] = (a % 8 == a8) & (b % 8 == b8)
+        return out
+    if isinstance(expr, And):
+        return np.logical_and.reduce([set_mask(q, ps, seg) for q in expr.parts])
+    if isinstance(expr, Or):
+        return np.logical_or.reduce([set_mask(q, ps, seg) for q in expr.parts])
+    if isinstance(expr, Not):
+        return ~set_mask(expr.inner, ps, seg)
+    raise TypeError(f"not a set expression: {expr!r}")

@@ -1,10 +1,11 @@
 """Prime streams and elementary modular arithmetic.
 
-Everything downstream iterates over primes in bulk, so the sieve is a
-numpy segmented sieve over odd integers (memory ~ chunk/16 bytes per
-segment).  The number-theoretic helpers here are deliberately hand-rolled:
-``jacobi`` and ``sqrt_mod`` sit on the hot path of every per-prime
-computation and must cost microseconds, not library-call overhead.
+Everything downstream takes primes in bulk, so the one sieve is a numpy
+segmented sieve over odd integers (``prime_array``, one byte per odd
+integer of a segment); ``primes_in_range`` streams its output.  The
+number-theoretic helpers here are deliberately hand-rolled: ``jacobi`` and
+``sqrt_mod`` sit on the hot path of every per-prime computation and must
+cost microseconds, not library-call overhead.
 Factorisation of *small* integers (normalising twist parameters, Euler phi
 for scaling factors) is delegated to sympy — those are cold paths.
 
@@ -45,37 +46,34 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, *, chunk: int = _SIEVE_CHUNK):
-    """Yield primes p with lo <= p < hi in increasing order.
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """Primes p with lo <= p < hi, increasing, as an int64 array.
 
-    Segmented over odd integers; each segment clears multiples with strided
-    slice assignment, so the python-level cost is one loop over sieving primes
-    per segment.
+    One segmented-sieve pass over the odd integers of the range; each sieving
+    prime clears its multiples with one strided slice assignment, so the
+    python-level cost is one loop over the primes up to sqrt(hi).
     """
     lo = max(lo, 2)
     if hi <= lo:
-        return
-    if lo <= 2 < hi:
-        yield 2
-    base = _small_primes(isqrt(hi - 1) + 1)
-    base = base[base > 2]  # odd-only segments never contain multiples of 2
+        return np.empty(0, dtype=np.int64)
     start = lo | 1  # first odd >= lo
-    for seg_lo in range(start, hi, 2 * chunk):
-        seg_hi = min(seg_lo + 2 * chunk, hi)
-        n = (seg_hi - seg_lo + 1) // 2  # odds in [seg_lo, seg_hi)
-        mask = np.ones(n, dtype=bool)
-        for p in base:
-            p = int(p)
-            if p * p >= seg_hi:
-                break
-            first = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            mask[(first - seg_lo) // 2 :: p] = False  # strided clear
-        if seg_lo == 1:
-            mask[0] = False
-        for q in np.nonzero(mask)[0]:
-            yield seg_lo + 2 * int(q)
+    mask = np.ones((hi - start + 1) // 2, dtype=bool)  # odds in [start, hi)
+    for p in _small_primes(isqrt(hi - 1) + 1)[1:].tolist():  # odd sieving primes
+        if p * p >= hi:
+            break
+        first = max(p * p, ((start + p - 1) // p) * p)
+        if first % 2 == 0:
+            first += p
+        mask[(first - start) // 2 :: p] = False  # strided clear
+    odd = start + 2 * np.nonzero(mask)[0].astype(np.int64)
+    return np.concatenate(([2], odd)) if lo == 2 else odd
+
+
+def primes_in_range(lo: int, hi: int, *, chunk: int = _SIEVE_CHUNK):
+    """Yield primes p with lo <= p < hi in increasing order, from ``prime_array``
+    in windows of 2·chunk integers."""
+    for seg_lo in range(max(lo, 2), hi, 2 * chunk):
+        yield from prime_array(seg_lo, min(seg_lo + 2 * chunk, hi)).tolist()
 
 
 @dataclass(frozen=True)

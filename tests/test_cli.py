@@ -220,6 +220,26 @@ def test_config_file_errors(tmp_path, capsys, text, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["verify", "--suite", "two-factor"], "m = 4\n"),
+        (["verify", "--suite", "two-factor"], "n = 1\n"),
+        (["verify", "--suite", "two-factor"], "set = mod(8;1)\n"),
+        (["verify", "--suite", "two-factor"], "workers = 3\n"),
+        (["density", "--d", "-7", "--m", "2"], "oracle-bound = 500\n"),
+        (["conjecture", "--d", "-7", "--m", "2"], "oracle-bound = 500\n"),
+        (["density", "--d", "-7", "--m", "2"], "suite = quadratic\n"),
+    ],
+)
+def test_config_keys_a_command_cannot_honour(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pmax = 1000\n" + text)
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{command[0]} does not take config key {text.split(' =')[0]!r}" in err
+
+
 def test_config_file_missing(capsys):
     code, _, err = run(capsys, "density", "--d", "-7", "--m", "2", "--config", "/no/such/file")
     assert code == 2 and "cannot read config file" in err
@@ -249,6 +269,10 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "two-factor", "--t", "3", "--pmax", "1000"], "takes no twist"),
         (["density", "--d", "-7", "--m", "2", "--n", "3"], "--n 3 does not divide --m 2"),
         (["conjecture", "--d", "-7", "--m", "2", "--n", "3"], "--n 3 does not divide --m 2"),
+        (["verify", "--suite", "two-factor", "--pmax", "1000", "--m", "4"], "verify does not take --m"),
+        (["verify", "--suite", "two-factor", "--pmax", "1000", "--n", "1"], "verify does not take --n"),
+        (["verify", "--suite", "two-factor", "--pmax", "1000", "--set", "mod(8;1)"], "verify does not take --set"),
+        (["verify", "--suite", "two-factor", "--pmax", "1000", "--workers", "3"], "verify does not take --workers"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
 
 from cmresidues.curves import (
     DISCRIMINANTS,
@@ -256,6 +257,22 @@ def test_twisted_table_models(d):
             for p in primes_in_range(5, 700):  # the short model is singular at 2 and 3
                 if spec.is_good(p):
                     assert ap(spec, p, table=table).ap == ap_naive(spec, p, table), (D, t, p)
+
+
+def test_table_model_bad_primes():
+    # the short model of the -1 twist of E^-8 is singular mod 3, although 3
+    # is good for the shipped model and splits in Q(√-2): both routes refuse it
+    table = dict(default_table())
+    table[-8] = _twisted_model(-8, -1)
+    spec = CurveSpec(-8)
+    assert spec.is_good(3) and not spec.is_good(3, table)
+    for route in (lambda: ap(spec, 3, table=table), lambda: ap_naive(spec, 3, table)):
+        with pytest.raises(ValueError, match="bad reduction"):
+            route()
+    # the shipped models' own discriminants bring no bad prime beyond 2·d
+    for d, model in default_table().items():
+        assert CurveSpec(d).bad_product(dict(default_table())) == 2 * d
+        assert set(factorint(abs(model.discriminant()))) <= {2, 3, -d}, d
 
 
 def test_non_twist_model_rejected():

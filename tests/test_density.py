@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import n_order
 
-from cmresidues.curves import CurveSpec, ap_naive, default_table
+from cmresidues.curves import CurveModel, CurveSpec, ap_naive, default_table
 from cmresidues.density import (
     GAP_MAX,
     Z_MAX,
@@ -155,6 +155,13 @@ def test_predict_orders_structure():
     assert dens == {1: Fraction(1), 2: Fraction(0)}
 
 
+def test_predict_orders_rejects_coarser_conditioning():
+    # the 8-class of a_p exists only at p ≡ 1 (mod 8), so conditioning on
+    # C_4^1 is an input error; a ValueError, so python -O keeps the check
+    with pytest.raises(ValueError, match="not a multiple"):
+        predict_orders(-4, 1, 8, 4)
+
+
 def test_predict_orders_agrees_with_master_table():
     for d in (-3, -4, -7, -8, -163):
         k = {-4: 4, -3: 6}.get(d, 2)
@@ -213,17 +220,17 @@ def test_conjecture_moduli():
 # Scan engine vs an independent tally
 
 
-def _oracle_tally(item, p_max, p_min=5):
+def _oracle_tally(item, p_max, p_min=5, table=None):
     spec = CurveSpec(item.d, item.t)
     lcm_all = math.lcm(*item.moduli)
     total = 0
     tallies = {m: {} for m in item.moduli}
     for p in primes_in_range(p_min, p_max):
-        if not spec.is_good(p) or jacobi(item.d, p) != 1 or p % lcm_all != 1:
+        if not spec.is_good(p, table) or jacobi(item.d, p) != 1 or p % lcm_all != 1:
             continue
         if item.extra is not None and not classify(p, item.extra):
             continue
-        a = ap_naive(spec, p)
+        a = ap_naive(spec, p, table)
         total += 1
         for m in item.moduli:
             v = pow(a % p, (p - 1) // m, p)
@@ -255,12 +262,16 @@ def test_scan_matches_independent_tally():
             assert sum(res.tallies[m].values()) == res.total
 
 
-def test_scan_is_worker_invariant():
-    one = scan_batch(SCAN_ITEMS[:3], 60_000, workers=1, chunk=7_000)
-    many = scan_batch(SCAN_ITEMS[:3], 60_000, workers=3, chunk=7_000)
-    for a, b in zip(one, many):
-        assert a.total == b.total
-        assert a.tallies == b.tallies
+@pytest.mark.parametrize("chunk", [6_000, 7_000, 7_919, 250_000])
+def test_scan_is_worker_invariant(chunk):
+    # segment edges at multiples of chunk must neither lose nor repeat a
+    # norm-form lattice point: every layout equals the one-segment scan
+    one = scan_batch(SCAN_ITEMS[:3], 60_000, workers=1, chunk=chunk)
+    many = scan_batch(SCAN_ITEMS[:3], 60_000, workers=3, chunk=chunk)
+    whole = scan_batch(SCAN_ITEMS[:3], 60_000, chunk=60_000)
+    for a, b, c in zip(one, many, whole):
+        assert a.total == b.total == c.total
+        assert a.tallies == b.tallies == c.tallies
 
 
 def test_scan_merge_over_split_ranges():
@@ -279,8 +290,29 @@ def test_item_result_accessors():
     assert res.density(2, 2) == 0.7
     empty = ItemResult(item, 100, 0, {2: {}})
     assert empty.density(2, 1) == 0.0
-    with pytest.raises(AssertionError):
-        res.merge(ItemResult(ScanItem(-7, Fraction(2), (2,)), 100, 0, {2: {}}))
+
+
+def test_merge_rejects_mismatched_items():
+    # a ValueError, not an assert: under python -O an assert would let one
+    # item's tallies be added to another's
+    res = ItemResult(ScanItem(-7, Fraction(1), (2,)), 100, 10, {2: {1: 3, 2: 7}})
+    other = ItemResult(ScanItem(-7, Fraction(2), (2,)), 100, 5, {2: {1: 5}})
+    with pytest.raises(ValueError, match="cannot merge"):
+        res.merge(other)
+    assert res.total == 10 and res.tallies == {2: {1: 3, 2: 7}}
+
+
+def test_scan_skips_bad_primes_of_a_table_model():
+    # the twist by 11 of the shipped d = -7 model has bad reduction at 11,
+    # which splits in Q(√-7): the scan leaves it out instead of failing there
+    c4, c6 = default_table()[-7].c_invariants()
+    table = dict(default_table())
+    table[-7] = CurveModel(0, 0, 0, -27 * c4 * 11**2, -54 * c6 * 11**3)
+    item = ScanItem(-7, Fraction(1), (2,))
+    res = run_scan(-7, 1, 2, p_max=2_000, table=table)
+    total, tallies = _oracle_tally(item, 2_000, table=table)
+    assert res.total == total == run_scan(-7, 1, 2, p_max=2_000).total - 1
+    assert res.tallies == tallies
 
 
 def test_scan_item_validation():

@@ -1,0 +1,172 @@
+"""The vectorised segment engine against the scalar per-prime route.
+
+Every stage of ``cmresidues.engine`` is compared prime by prime with the
+scalar function it replaces in a scan: traces with ``ap``, set masks with
+``classify``, and whole segment tallies with ``_reference_chunk`` below,
+the per-prime loop the engine replaced.  The last tests pin the engine's
+width limit, p < 2³², at its edge.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from cmresidues.cli import main
+from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
+from cmresidues.density import ScanItem, _scan_chunk, scan_batch
+from cmresidues.engine import P_LIMIT, Segment, mod_array, pow_array, set_mask
+from cmresidues.prime_sets import QuarticCell, SymOrder, classify, parse_set, quartic_cell_expr
+from cmresidues.primes import jacobi, order_dividing, prime_array, primes_in_range
+from test_acceptance import _big_items
+
+BIG = Fraction(-(3**43 + 4), 7**25)  # numerator and denominator both above 2⁶⁴
+TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 4), Fraction(-7, 4), Fraction(6), BIG)
+EDGE = (P_LIMIT - 20_000, P_LIMIT)
+
+
+def _reference_chunk(plan, bounds):
+    """The per-prime scan loop: sieve, split test, ``ap``, ``classify``, ``order_dividing``."""
+    items, table = plan
+    lo, hi = bounds
+    groups = {}
+    for idx, it in enumerate(items):
+        groups.setdefault(CurveSpec(it.d, it.t), []).append(idx)
+    totals = [0] * len(items)
+    tallies = [{m: {} for m in it.moduli} for it in items]
+    for p in primes_in_range(lo, hi):
+        for spec, idxs in groups.items():
+            if not spec.is_good(p, table) or jacobi(spec.d, p) != 1:
+                continue
+            members = [
+                i
+                for i in idxs
+                if p % math.lcm(*items[i].moduli) == 1
+                and (items[i].extra is None or classify(p, items[i].extra))
+            ]
+            if not members:
+                continue
+            am = ap(spec, p, table=table).ap % p
+            for i in members:
+                for m in items[i].moduli:
+                    o = order_dividing(pow(am, (p - 1) // m, p), m, p)
+                    tallies[i][m][o] = tallies[i][m].get(o, 0) + 1
+                totals[i] += 1
+    return totals, tallies
+
+
+def _scalar_traces(spec, lo, hi, table=None):
+    ps = [p for p in primes_in_range(lo, hi) if spec.is_good(p, table) and jacobi(spec.d, p) == 1]
+    return ps, [ap(spec, p, table=table).ap for p in ps]
+
+
+def _twisted_model(d, D):
+    """Short model of the quadratic twist by D of the shipped E^d."""
+    c4, c6 = default_table()[d].c_invariants()
+    return CurveModel(0, 0, 0, -27 * D * D * c4, -54 * D**3 * c6)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic stages
+
+
+def test_mod_and_pow_arrays():
+    ps = prime_array(2, 3_000)
+    for n in (0, 1, -1, 7, -(2**64) - 3, 3**90 + 5, BIG.numerator):
+        assert mod_array(n, ps).tolist() == [n % p for p in ps.tolist()]
+    edge = prime_array(*EDGE)
+    base = mod_array(3**50, edge)
+    assert pow_array(base, edge - 2, edge).tolist() == [
+        pow(3**50, p - 2, p) for p in edge.tolist()
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Traces and masks, prime by prime
+
+
+@pytest.mark.parametrize("d", DISCRIMINANTS)
+def test_engine_traces_match_ap(d):
+    seg = Segment(2, 30_000)
+    for t in TWISTS:
+        spec = CurveSpec(d, t)
+        ps, a = seg.traces(spec)
+        assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000), t
+    if d in (-8, -11):  # 3 splits in both and is good for t = 1
+        assert 3 in seg.traces(CurveSpec(d))[0]
+
+
+@pytest.mark.parametrize("d", [-7, -8, -11, -19, -43, -67, -163])
+def test_engine_traces_on_twisted_table_models(d):
+    seg = Segment(2, 30_000)
+    for D in (-1, 2, -3):
+        table = dict(default_table())
+        table[d] = _twisted_model(d, D)
+        for t in (Fraction(1), Fraction(-5, 3)):
+            spec = CurveSpec(d, t)
+            ps, a = seg.traces(spec, table)
+            assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000, table), (D, t)
+
+
+def _set_exprs():
+    exprs = []
+    for t in (Fraction(1), Fraction(3), Fraction(-2), Fraction(5, 3)):
+        cells = [quartic_cell_expr(c, t) for c in QuarticCell]
+        exprs += cells + [~e for e in cells] + [cells[0] | cells[6]]
+    exprs += [SymOrder(6, Fraction(-7, 4), n) for n in (1, 2, 3, 6)]
+    exprs += [parse_set("symord(1;2;1) | mod(12;1,7) & !g8(5+4i)")]
+    return exprs
+
+
+def test_set_masks_match_classify():
+    seg = Segment(2, 30_000)
+    ps = seg.primes
+    for expr in _set_exprs():
+        assert set_mask(expr, ps, seg).tolist() == [classify(p, expr) for p in ps.tolist()], expr
+
+
+# ---------------------------------------------------------------------------
+# Whole segments against the per-prime loop
+
+
+def test_scan_chunk_matches_reference_on_the_sweep():
+    items = tuple(_big_items()[0])
+    assert len(items) == 40
+    plan = (items, None)
+    assert _scan_chunk(plan, (5, 60_000)) == _reference_chunk(plan, (5, 60_000))
+
+
+def test_scan_chunk_matches_reference_with_a_table():
+    table = dict(default_table())
+    table[-11] = _twisted_model(-11, 2)
+    items = (ScanItem(-11, Fraction(1), (2, 4)), ScanItem(-11, Fraction(-3, 4), (2,), parse_set("g8(5)")))
+    plan = (items, table)
+    assert _scan_chunk(plan, (2, 30_000)) == _reference_chunk(plan, (2, 30_000))
+
+
+# ---------------------------------------------------------------------------
+# The width limit p < 2³²
+
+
+def test_engine_at_the_width_edge():
+    seg = Segment(*EDGE)
+    for d in DISCRIMINANTS:
+        spec = CurveSpec(d, Fraction(-7, 4))
+        ps, a = seg.traces(spec)
+        assert len(ps) > 300
+        assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, *EDGE), d
+    items = tuple(_big_items()[0])
+    got = scan_batch(items, EDGE[1], p_min=EDGE[0], chunk=7_919)
+    totals, tallies = _reference_chunk((items, None), EDGE)
+    assert [r.total for r in got] == totals and sum(totals) > 0
+    assert [r.tallies for r in got] == tallies
+
+
+def test_width_limit_is_enforced(capsys):
+    item = ScanItem(-7, Fraction(1), (2,))
+    with pytest.raises(ValueError, match="limit 2\\*\\*32"):
+        scan_batch([item], P_LIMIT + 1, p_min=P_LIMIT - 100)
+    code = main(["density", "--d", "-7", "--m", "2", "--pmax", str(P_LIMIT + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "limit 2**32" in captured.err
