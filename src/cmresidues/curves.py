@@ -336,7 +336,7 @@ def ap_order(
 
     Requires p ≡ 1 (mod m) and ordinary reduction (nonzero trace).
     """
-    if p % m != 1:
+    if (p - 1) % m:
         raise ValueError(f"p = {p} is not 1 mod {m}")
     rec = ap(spec, p, table=table)
     if rec.ap == 0:

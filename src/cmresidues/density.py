@@ -15,8 +15,10 @@ Two kinds of statements are checked against the trace pipeline:
 Scan determinism: the prime range is cut into fixed segments, each segment
 is tallied independently (workers only change who computes which segment),
 and integer tallies are merged in range order — so reports are
-byte-identical for any worker count.  Nothing time- or host-dependent goes
-into a report.
+byte-identical for any worker count.  The suites walk the same segments,
+one ``engine.Segment`` each for all of a suite's cases, and list violations
+in case order, then by p, wherever the segments are cut.  Nothing time- or
+host-dependent goes into a report.
 """
 
 from __future__ import annotations
@@ -27,22 +29,28 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import gcd
 from multiprocessing import get_context
 
 import numpy as np
 
-from .curves import CurveModel, CurveSpec, ap, ap_naive, ap_order, unit_count
-from .engine import P_LIMIT, Segment, residue_orders, set_mask
-from .eisenstein import PRIMARY_CONVENTION, cubic_exponent, split_prime_eis
-from .gaussian import (
-    closed_form_odd_factor,
-    closed_form_trace_symbol,
-    closed_form_two,
-    quartic_exponent,
-    split_prime,
+from .curves import CurveModel, CurveSpec, ap_naive, unit_count
+from .engine import (
+    P_LIMIT,
+    Segment,
+    isqrt_array,
+    legendre_array,
+    mod_array,
+    pow_array,
+    residue_orders,
+    set_mask,
+    symbol_exponents,
 )
-from .prime_sets import CongMod, QuarticCell, SetExpr, classify, quartic_cell, quartic_cell_expr
+from .eisenstein import PRIMARY_CONVENTION
+from .gaussian import GaussInt, closed_form_odd_factor, closed_form_trace_symbol, closed_form_two
+from .prime_sets import CongMod, QuarticCell, SetExpr, quartic_cell, quartic_cell_expr
 from .primes import (
     PrimeRange,
     Rational,
@@ -50,7 +58,7 @@ from .primes import (
     euler_phi,
     jacobi,
     kfree_reduce,
-    primes_in_range,
+    prime_array,
     squarefree_part,
 )
 
@@ -297,6 +305,14 @@ class ItemResult:
                 mine[o] = mine.get(o, 0) + c
 
 
+def _segments(p_min: int, p_max: int, chunk: int) -> list[tuple[int, int]]:
+    """The segment cut of [p_min, p_max); the engine's residues are uint64, so
+    p_max may be at most 2**32 (ValueError otherwise)."""
+    if p_max > P_LIMIT:
+        raise ValueError(f"p_max = {p_max} is past the engine's limit 2**32 (uint64 products)")
+    return PrimeRange(p_min, p_max, chunk).segments()
+
+
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
@@ -316,7 +332,7 @@ def _scan_chunk(plan, bounds):
         orders: dict[int, np.ndarray] = {}
         for i in idxs:
             it = items[i]
-            keep = ps % math.lcm(*it.moduli) == 1
+            keep = (ps - 1) % math.lcm(*it.moduli) == 0
             if it.extra is not None:
                 keep &= set_mask(it.extra, ps, seg)
             totals[i] = int(keep.sum())
@@ -356,11 +372,9 @@ def scan_batch(
     arguments regardless of `workers`.  The engine's residues are uint64, so
     p_max may be at most 2**32 (ValueError otherwise).
     """
-    if p_max > P_LIMIT:
-        raise ValueError(f"p_max = {p_max} is past the engine's limit 2**32 (uint64 products)")
     items = tuple(items)
     plan = (items, table)
-    segments = PrimeRange(p_min, p_max, chunk).segments()
+    segments = _segments(p_min, p_max, chunk)
     if workers <= 1 or len(segments) <= 1:
         parts = [_scan_chunk(plan, seg) for seg in segments]
     else:
@@ -646,136 +660,100 @@ class SuiteResult:
 
 
 class _Recorder:
-    def __init__(self, suite: str, cap: int = _VIOLATION_CAP):
-        self.suite = suite
-        self.checked = 0
-        self.violations: list[dict] = []
-        self.cap = cap
+    """Check count and the first ``cap`` violations of one suite run.
 
-    def check(self, p: int, expected, got) -> None:
-        self.checked += 1
-        if expected != got and len(self.violations) < self.cap:
-            self.violations.append(
-                {"p": p, "suite": self.suite, "expected": str(expected), "got": str(got)}
-            )
+    Checks arrive as aligned arrays, a segment and a case at a time.  Each
+    violation is keyed (case, p, sub) and the kept list is sorted by the key,
+    so it reads in case order, then by p, for any segment cut.
+    """
 
-    def result(self, **params) -> SuiteResult:
-        return SuiteResult(self.suite, self.checked, self.violations, params)
+    def __init__(self, suite: str, cap: int):
+        self.suite, self.cap, self.checked = suite, cap, 0
+        self.found: list[tuple[tuple, dict]] = []
+
+    def check(self, case: int, ps: np.ndarray, expected, got, sub: int = 0, show=str) -> None:
+        """One check per p in ps: expected[i] == got[i], a scalar standing for every i."""
+        expected, got = (np.broadcast_to(np.asarray(v), ps.shape) for v in (expected, got))
+        self.checked += len(ps)
+        for i in np.flatnonzero(expected != got)[: self.cap].tolist():
+            v = {"p": int(ps[i]), "suite": self.suite, "expected": show(expected[i]), "got": show(got[i])}
+            self.found.append(((case, v["p"], sub), v))
+        self.found.sort(key=lambda kv: kv[0])  # what falls past the first cap stays past it
+        del self.found[self.cap :]
 
 
 _W2_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
+_QUARTIC_TWISTS = (1, 2, -2, 3, 6, -8)
+
+# A suite is a per-segment check fn(seg, rec, ds, ts, oracle_bound, table)
+# over all of its (d, t) cases.  The computed side of each identity is read
+# from the segment's arrays; the claimed side calls the identity's own
+# scalar implementation.
 
 
-def _suite_twist(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
     """Quadratic twist law: a_p(E_t) = (t/p) · a_p(E_1) for the w=2 families.
 
     The left side is the naive count (independent of the twist bookkeeping in
-    ``ap``), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
+    the traces), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
     """
-    rec = _Recorder("twist", cap)
-    ds = ds or _W2_DISCRIMINANTS
-    if not set(ds) <= set(_W2_DISCRIMINANTS):
-        raise ValueError(f"twist suite covers the quadratic families {_W2_DISCRIMINANTS}, got {ds}")
-    ts = ts or (Fraction(2), Fraction(3), Fraction(5))
-    for d in ds:
-        base = CurveSpec(d, Fraction(1))
-        for t in ts:
-            spec = CurveSpec(d, Fraction(t))
-            for p in primes_in_range(5, p_max):
-                if not spec.is_good(p, table) or not base.is_good(p, table):
-                    continue
-                lhs = ap_naive(spec, p, table)
-                if jacobi(d, p) != 1:
-                    rec.check(p, 0, lhs)
-                    continue
-                sign = jacobi(spec.t.numerator * spec.t.denominator % p, p)
-                rhs = sign * ap(base, p, table=table).ap
-                rec.check(p, rhs, lhs)
-    return rec.result(ds=list(ds), ts=[str(t) for t in ts], p_max=p_max)
+    for c, (d, t) in enumerate(product(ds, ts)):
+        spec = CurveSpec(d, t)
+        ps, a = seg.good_traces(CurveSpec(d), table)
+        good = mod_array(spec.bad_product(table), ps) != 0
+        ps, rhs = ps[good], legendre_array(t.numerator * t.denominator, ps[good]) * a[good]
+        rec.check(c, ps, rhs, [ap_naive(spec, p, table) for p in ps.tolist()])
 
 
-def _suite_trace_oracle(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
     """d = -4 closed-form trace against the naive count, plus structure checks.
 
     For p <= oracle_bound the trace must equal the point count exactly; for
     every split p it must be even, nonzero, and satisfy the norm equation
     p = (a_p/2)² + b² exactly.  Inert p must give 0.
     """
-    rec = _Recorder("trace-oracle", cap)
-    ts = ts or (Fraction(1), Fraction(2), Fraction(-2), Fraction(3), Fraction(6), Fraction(-8))
-    for t in ts:
-        spec = CurveSpec(-4, Fraction(t))
-        for p in primes_in_range(5, p_max):
-            if not spec.is_good(p):
-                continue
-            recd = ap(spec, p, table=table)
-            if p % 4 != 1:
-                rec.check(p, 0, recd.ap)
-                continue
-            a = recd.ap
-            half = abs(a) // 2
-            rem = p - half * half
-            structural = (
-                a != 0
-                and a % 2 == 0
-                and rem > 0
-                and math.isqrt(rem) ** 2 == rem
-            )
-            if p <= oracle_bound:
-                rec.check(p, ap_naive(spec, p, table), a)
-            else:
-                rec.check(p, True, structural)
-    return rec.result(ts=[str(t) for t in ts], p_max=p_max, oracle_bound=oracle_bound)
+    for c, t in enumerate(ts):
+        spec = CurveSpec(-4, t)
+        ps, a = seg.good_traces(spec, table)
+        split = ps % 4 == 1
+        rec.check(c, ps[~split], 0, a[~split])
+        low = split & (ps <= oracle_bound)
+        rec.check(c, ps[low], [ap_naive(spec, p, table) for p in ps[low].tolist()], a[low])
+        q, aq = ps[split & ~low], a[split & ~low]
+        rem = q - (np.abs(aq) // 2) ** 2
+        square = isqrt_array(np.maximum(rem, 0)) ** 2 == rem
+        rec.check(c, q, True, (aq != 0) & (aq % 2 == 0) & (rem > 0) & square)
 
 
-def _suite_quadratic(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
     """The quadratic residue class of a_p at every split prime.
 
     d ≠ -4: (a_p/p) = (d/p)_4 (Euler) for p ≡ 1 (mod 4) and -(t/p) for
     p ≡ 3 (mod 4).  d = -4: +1 for p ≡ 1 (mod 8) and -(t/p) for p ≡ 5 (mod 8).
     """
-    rec = _Recorder("quadratic", cap)
-    ds = ds or (-3,) + _W2_DISCRIMINANTS + (-4,)
-    ts = ts or (Fraction(1), Fraction(2), Fraction(3))
-    for d in ds:
-        for t in ts:
-            spec = CurveSpec(d, Fraction(t))
-            for p in primes_in_range(5, p_max):
-                if not spec.is_good(p, table) or jacobi(d, p) != 1:
-                    continue
-                if d == -4 and p % 4 != 1:
-                    continue
-                a = ap(spec, p, table=table).ap
-                tn = spec.t.numerator * spec.t.denominator % p
-                if d == -4:
-                    expected = 1 if p % 8 == 1 else -jacobi(tn, p)
-                elif p % 4 == 1:
-                    expected = 1 if pow(d % p, (p - 1) // 4, p) == 1 else -1
-                else:
-                    expected = -jacobi(tn, p)
-                rec.check(p, expected, jacobi(a, p))
-    return rec.result(ds=list(ds), ts=[str(t) for t in ts], p_max=p_max)
+    for c, (d, t) in enumerate(product(ds, ts)):
+        ps, a = seg.traces(CurveSpec(d, t), table)
+        minus_t = -legendre_array(t.numerator * t.denominator, ps)
+        if d == -4:
+            expected = np.where(ps % 8 == 1, 1, minus_t)
+        else:
+            quartic_d = pow_array(mod_array(d, ps), (ps - 1) // 4, ps) == 1
+            expected = np.where(ps % 4 == 1, np.where(quartic_d, 1, -1), minus_t)
+        rec.check(c, ps, expected, np.where(residue_orders(a, ps, 2) == 1, 1, -1))
 
 
-def _suite_cubic(ds, ts, p_max, oracle_bound, table, cap, convention=PRIMARY_CONVENTION):
+def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVENTION):
     """The cubic residue class of a_p (d = -3) through the mod-9 cells.
 
     (a_p/π)_3 is trivial for p ≡ 1 (mod 9), and equals (t/π)_3^(±1) on the
     other two cells of split p.
     """
-    rec = _Recorder("cubic", cap)
-    ts = ts or (Fraction(1), Fraction(2), Fraction(3))
-    for t in ts:
-        spec = CurveSpec(-3, Fraction(t))
-        for p in primes_in_range(5, p_max):
-            if not spec.is_good(p) or p % 3 != 1:
-                continue
-            pi = split_prime_eis(p, convention)
-            a = ap(spec, p, table=table).ap
-            e_t = cubic_exponent(spec.t, pi, p)
-            expected = {1: 0, 4: (2 * e_t) % 3, 7: e_t}[p % 9]
-            rec.check(p, expected, cubic_exponent(a, pi, p))
-    return rec.result(ts=[str(t) for t in ts], p_max=p_max, convention=convention)
+    for c, t in enumerate(ts):
+        ps, a = seg.traces(CurveSpec(-3, t), table)
+        pa, pb = seg.primary(-3, ps, convention)
+        e_t = symbol_exponents(mod_array(t.numerator * t.denominator**2, ps), pa, pb, ps, 3)
+        expected = np.where(ps % 9 == 1, 0, np.where(ps % 9 == 4, 2 * e_t % 3, e_t))
+        rec.check(c, ps, expected, symbol_exponents(a % ps, pa, pb, ps, 3))
 
 
 def _sextic_rhs(p: int, tm: int) -> bool:
@@ -790,81 +768,55 @@ def _sextic_rhs(p: int, tm: int) -> bool:
     return pow(tm, (p - 1) // 6, p) == p - 1
 
 
-def _suite_sextic_order1(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     """Two-sided cell description of {order of the sextic class of a_p = 1}.
 
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    rec = _Recorder("sextic-order1", cap)
-    ts = ts or (Fraction(2), Fraction(3), Fraction(5))
-    for t in ts:
-        spec = CurveSpec(-3, Fraction(t))
-        for p in primes_in_range(5, p_max):
-            if not spec.is_good(p) or p % 3 != 1:
-                continue
-            lhs = ap_order(spec, p, 6, table=table) == 1
-            tm = spec.t.numerator * pow(spec.t.denominator, -1, p) % p
-            rec.check(p, _sextic_rhs(p, tm), lhs)
-    return rec.result(ts=[str(t) for t in ts], p_max=p_max)
+    for c, t in enumerate(ts):
+        ps, a = seg.traces(CurveSpec(-3, t), table)
+        rhs = [_sextic_rhs(p, t.numerator * pow(t.denominator, -1, p) % p) for p in ps.tolist()]
+        rec.check(c, ps, rhs, residue_orders(a, ps, 6) == 1)
 
 
-def _odd_prime_factors(n: int):
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            yield f
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n > 1:
-        yield n
-
-
-def _suite_odd_factor(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):
     """Closed form for (ℓ/π)_4, ℓ an odd prime dividing re(π), vs Euler."""
-    rec = _Recorder("odd-factor", cap)
-    for p in primes_in_range(5, p_max):
-        if p % 4 != 1:
-            continue
-        pi = split_prime(p)
-        for ell in _odd_prime_factors(pi.re):
-            rec.check(p, quartic_exponent(ell, pi, p), closed_form_odd_factor(ell, pi).exp)
-    return rec.result(p_max=p_max)
+    ps = seg.form(-4)[0]
+    a, b = seg.primary(-4, ps)
+    for ell in prime_array(3, int(np.abs(a).max(initial=0)) + 1).tolist():  # ℓ is the sub-key
+        k = np.flatnonzero(a % ell == 0)
+        q, qa, qb = ps[k], a[k], b[k]
+        closed = [closed_form_odd_factor(ell, GaussInt(*pi)).exp for pi in zip(qa.tolist(), qb.tolist())]
+        rec.check(0, q, symbol_exponents(np.full(len(q), ell), qa, qb, q, 4), closed, sub=ell)
 
 
-def _suite_two_factor(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_two_factor(seg, rec, ds, ts, oracle_bound, table):
     """Closed form for (2/π)_4 = (-i)^(b/2) vs Euler, all primary π."""
-    rec = _Recorder("two-factor", cap)
-    for p in primes_in_range(5, p_max):
-        if p % 4 != 1:
-            continue
-        pi = split_prime(p)
-        rec.check(p, quartic_exponent(2, pi, p), closed_form_two(pi).exp)
-    return rec.result(p_max=p_max)
+    ps = seg.form(-4)[0]
+    a, b = seg.primary(-4, ps)
+    closed = [closed_form_two(GaussInt(*ab)).exp for ab in zip(a.tolist(), b.tolist())]
+    rec.check(0, ps, symbol_exponents(np.full(len(ps), 2), a, b, ps, 4), closed)
 
 
-def _suite_trace_symbol(ds, ts, p_max, oracle_bound, table, cap):
+def _suite_trace_symbol(seg, rec, ds, ts, oracle_bound, table):
     """Exponent-level closed form for (a_p/π)_4 in the quartic family."""
-    rec = _Recorder("trace-symbol", cap)
-    ts = ts or (Fraction(1), Fraction(2), Fraction(-2), Fraction(3), Fraction(6), Fraction(-8))
-    for p in primes_in_range(5, p_max):
-        if p % 4 != 1:
-            continue
-        pi = split_prime(p)
-        for t in ts:
-            spec = CurveSpec(-4, Fraction(t))
-            if not spec.is_good(p):
-                continue
-            a = ap(spec, p, table=table).ap
-            rec.check(p, closed_form_trace_symbol(pi, spec.t).exp, quartic_exponent(a, pi, p))
-    return rec.result(ts=[str(t) for t in ts], p_max=p_max)
+    for k, t in enumerate(ts):  # the checks run p by p, then t by t
+        ps, a = seg.traces(CurveSpec(-4, t), table)
+        pa, pb = seg.primary(-4, ps)
+        closed = [closed_form_trace_symbol(GaussInt(*ab), t).exp for ab in zip(pa.tolist(), pb.tolist())]
+        rec.check(0, ps, closed, symbol_exponents(a % ps, pa, pb, ps, 4), sub=k)
 
 
-def _suite_nine_cells(ds, ts, p_max, oracle_bound, table, cap):
+_CELLS = tuple(QuarticCell)
+
+
+def _cell_list(bits) -> str:
+    """The values of the cells in a bit set, bit k standing for ``_CELLS[k]``."""
+    return str([c.value for k, c in enumerate(_CELLS) if int(bits) >> k & 1])
+
+
+def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
     """The nine-cell partition: membership, predicted order, pinned values.
 
     Checks that every eligible p lands in exactly the cell its set
@@ -872,40 +824,40 @@ def _suite_nine_cells(ds, ts, p_max, oracle_bound, table, cap):
     cell's, and — on the p ≡ 1 (mod 8) cells — that the symbol value itself
     matches.
     """
-    rec = _Recorder("nine-cells", cap)
-    ts = ts or (Fraction(1), Fraction(2), Fraction(-2), Fraction(3), Fraction(6), Fraction(-8))
-    for t in ts:
-        spec = CurveSpec(-4, Fraction(t))
-        exprs = {cell: quartic_cell_expr(cell, Fraction(t)) for cell in QuarticCell}
-        for p in primes_in_range(5, p_max):
-            if p % 4 != 1 or not spec.is_good(p):
-                continue
-            cell = quartic_cell(p, spec.t)
-            member = [c for c in QuarticCell if classify(p, exprs[c])]
-            rec.check(p, [cell.value], [c.value for c in member])
-            a = ap(spec, p, table=table).ap
-            e = quartic_exponent(a, split_prime(p), p)
-            got_order = {0: 1, 2: 2}.get(e, 4)
-            rec.check(p, cell.trace_symbol_order, got_order)
-            if cell.trace_symbol_exp is not None:
-                rec.check(p, cell.trace_symbol_exp, e)
-    return rec.result(ts=[str(t) for t in ts], p_max=p_max)
+    for c, t in enumerate(ts):
+        ps, a = seg.traces(CurveSpec(-4, t), table)
+        cells = [quartic_cell(p, t) for p in ps.tolist()]
+        masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in _CELLS]
+        member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
+        rec.check(c, ps, [1 << _CELLS.index(cell) for cell in cells], member, show=_cell_list)
+        e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
+        rec.check(c, ps, [cell.trace_symbol_order for cell in cells], np.choose(e, [1, 4, 2, 4]), sub=1)
+        exps = np.array([-1 if cell.trace_symbol_exp is None else cell.trace_symbol_exp for cell in cells])
+        pinned = exps >= 0
+        rec.check(c, ps[pinned], exps[pinned], e[pinned], sub=2)
 
 
+# name -> (check, default discriminants, default twists); a suite without a
+# default fixes its own discriminant, or takes no twist
 SUITES = {
-    "twist": _suite_twist,
-    "trace-oracle": _suite_trace_oracle,
-    "quadratic": _suite_quadratic,
-    "cubic": _suite_cubic,
-    "sextic-order1": _suite_sextic_order1,
-    "odd-factor": _suite_odd_factor,
-    "two-factor": _suite_two_factor,
-    "trace-symbol": _suite_trace_symbol,
-    "nine-cells": _suite_nine_cells,
+    "twist": (_suite_twist, _W2_DISCRIMINANTS, (2, 3, 5)),
+    "trace-oracle": (_suite_trace_oracle, None, _QUARTIC_TWISTS),
+    "quadratic": (_suite_quadratic, (-3,) + _W2_DISCRIMINANTS + (-4,), (1, 2, 3)),
+    "cubic": (_suite_cubic, None, (1, 2, 3)),
+    "sextic-order1": (_suite_sextic_order1, None, (2, 3, 5)),
+    "odd-factor": (_suite_odd_factor, None, None),
+    "two-factor": (_suite_two_factor, None, None),
+    "trace-symbol": (_suite_trace_symbol, None, _QUARTIC_TWISTS),
+    "nine-cells": (_suite_nine_cells, None, _QUARTIC_TWISTS),
 }
 
-_SUITES_WITH_DS = ("twist", "quadratic")
-_SUITES_WITHOUT_TS = ("odd-factor", "two-factor")
+
+def _run_suite(name: str, check, args: tuple, params: dict, p_max: int, cap: int) -> SuiteResult:
+    """Walk the segments of [5, p_max), one Segment each for all of the suite's cases."""
+    rec = _Recorder(name, cap)
+    for bounds in _segments(5, max(p_max, 5), _CHUNK):
+        check(Segment(*bounds), rec, *args)
+    return SuiteResult(name, rec.checked, [v for _, v in rec.found], params)
 
 
 def verify_suite(
@@ -922,17 +874,29 @@ def verify_suite(
 
     Only the twist and quadratic suites take discriminants; every other suite
     fixes its own d, and odd-factor and two-factor take no twists.  Passing
-    what a suite cannot honour raises ValueError instead of being ignored.
+    what a suite cannot honour raises ValueError instead of being ignored,
+    and so does p_max > 2**32, the engine's limit.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
-    if ds is not None and name not in _SUITES_WITH_DS:
-        raise ValueError(f"suite {name!r} fixes its own discriminant; only {_SUITES_WITH_DS} take one")
-    if ts is not None and name in _SUITES_WITHOUT_TS:
+    check, default_ds, default_ts = SUITES[name]
+    if ds is not None and default_ds is None:
+        with_ds = tuple(n for n, suite in SUITES.items() if suite[1])
+        raise ValueError(f"suite {name!r} fixes its own discriminant; only {with_ds} take one")
+    if ts is not None and default_ts is None:
         raise ValueError(f"suite {name!r} takes no twist parameter")
-    if ts is not None:
-        ts = tuple(Fraction(t) for t in ts)
-    return SUITES[name](ds, ts, p_max, oracle_bound, table, max_violations)
+    if ds and not set(ds) <= set(default_ds):
+        raise ValueError(f"{name} suite covers the discriminants {default_ds}, got {ds}")
+    ds, ts = ds or default_ds, tuple(Fraction(t) for t in ts or default_ts or ())
+    params = {"ds": list(ds)} if default_ds else {}
+    if default_ts:
+        params["ts"] = [str(t) for t in ts]
+    params["p_max"] = p_max
+    if name == "trace-oracle":
+        params["oracle_bound"] = oracle_bound
+    if name == "cubic":
+        params["convention"] = PRIMARY_CONVENTION
+    return _run_suite(name, check, (ds, ts, oracle_bound, table), params, p_max, max_violations)
 
 
 def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[str, int]:
@@ -943,16 +907,9 @@ def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[st
     PRIMARY_CONVENTION safe.  Kept as a harness so the frozen choice stays
     an observable fact rather than an assumption.
     """
+    args = (None, tuple(Fraction(t) for t in ts), None, kwargs.get("table"))
     out = {}
     for convention in ("two-mod-three", "one-mod-three"):
-        res = _suite_cubic(
-            None,
-            tuple(Fraction(t) for t in ts),
-            p_max,
-            kwargs.get("oracle_bound", 20_000),
-            kwargs.get("table"),
-            _VIOLATION_CAP,
-            convention=convention,
-        )
-        out[convention] = len(res.violations)
+        check = partial(_suite_cubic, convention=convention)
+        out[convention] = len(_run_suite("cubic", check, args, {}, p_max, _VIOLATION_CAP).violations)
     return out

@@ -104,7 +104,7 @@ def split_prime_eis(p: int, convention: str = PRIMARY_CONVENTION) -> EisInt:
             if 3 * v * v == rem:
                 # u + v√-3 = (u+v) + 2vω
                 return primary_associate_eis(EisInt(b + v, 2 * v), convention)
-    raise AssertionError(f"Cornacchia failed for {p}; p not prime?")
+    raise ValueError(f"Cornacchia failed for {p}; {p} is not prime")
 
 
 def omega_image(pi: EisInt, p: int | None = None) -> int:
@@ -112,7 +112,8 @@ def omega_image(pi: EisInt, p: int | None = None) -> int:
     if p is None:
         p = pi.norm()
     s = -pi.a * pow(pi.b, -1, p) % p
-    assert (s * s + s + 1) % p == 0
+    if (s * s + s + 1) % p:
+        raise ValueError(f"{pi} does not divide {p}")
     return s
 
 

@@ -1,5 +1,8 @@
 """Vectorised segment engine: the scan chain as numpy stages over one segment.
 
+Scans (``density.scan_batch``) and the exact suites (``density.verify_suite``)
+both read their per-prime data from a ``Segment``.
+
 Class number one makes the primes that split in d exactly the prime values
 of one norm form, so a segment of the prime range needs no per-prime Python
 work at all:
@@ -12,14 +15,16 @@ work at all:
 * trace: ``Segment.traces`` evaluates a_p by the closed forms of
   ``curves.ap`` — quadratic characters by Euler's criterion, the quartic
   and cubic characters by comparing v·b with ∓a mod p (so no modular
-  inverse), and Legendre tables mod |d| and mod 8 for the base traces;
+  inverse: ``symbol_exponents``), and Legendre tables mod |d| and mod 8
+  for the base traces;
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
 * order: ``residue_orders`` by square-and-multiply.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``).
-The scalar functions (``ap``, ``classify``, ``order_dividing``) are the
-reference the engine is tested against prime by prime.
+The scalar functions (``ap``, ``classify``, ``order_dividing``,
+``split_prime``, ``quartic_exponent``, …) are the reference the engine is
+tested against prime by prime.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from math import isqrt
 import numpy as np
 
 from .curves import CurveModel, CurveSpec, model_twist
+from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
 from .primes import _divisors, jacobi, prime_array
 
@@ -92,15 +98,24 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
 def residue_orders(a: np.ndarray, ps: np.ndarray, m: int) -> np.ndarray:
     """Order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m); 0 elsewhere."""
     out = np.zeros(len(ps), dtype=np.int64)
-    sel = ps % m == 1
+    sel = (ps - 1) % m == 0
     q = ps[sel]
     out[sel] = order_array(pow_array(a[sel] % q, (q - 1) // m, q), m, q)
     return out
 
 
-def _exponent(hits: list[np.ndarray]) -> np.ndarray:
-    """Index of the first true entry of ``hits`` per position (the symbol's exponent)."""
-    e = np.select(hits, list(range(len(hits))), default=-1)
+def symbol_exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray, ps: np.ndarray, k: int) -> np.ndarray:
+    """e with (x/π)_k = ζ^e at each p, 0 < x < p: k = 4, π = a + bi, ζ = i
+    (``quartic_exponent``), or k = 3, π = a + bω, ζ = ω (``cubic_exponent``).
+
+    ζ ≡ -a/b (mod π), so x^((p-1)/k) ≡ ζ^e is tested on products with b:
+    no modular inverse.
+    """
+    v = pow_array(x, (ps - 1) // k, ps)
+    vb = v * b % ps
+    # the higher powers: i² = -1 and i³ ≡ a/b, or ω² ≡ (a - b)/b
+    rest = [v == ps - 1, vb == a % ps] if k == 4 else [vb == (a - b) % ps]
+    e = np.select([v == 1, vb == -a % ps] + rest, list(range(k)), default=-1)
     if (e < 0).any():
         raise ValueError("character value is not a root of unity of the expected order")
     return e
@@ -120,7 +135,7 @@ def _form(d: int) -> tuple[int, ...]:
     return _FORMS.get(d, (-d, 4, 1, 1, 1, 0))  # 4p = u² + |d|v², u ≡ v (mod 2)
 
 
-def _isqrt(n: np.ndarray) -> np.ndarray:
+def isqrt_array(n: np.ndarray) -> np.ndarray:
     """floor(sqrt(n)) for int64 n >= 0, exact (a float estimate, corrected by one)."""
     r = np.sqrt(n.astype(np.float64)).astype(np.int64)
     r -= r * r > n
@@ -134,7 +149,7 @@ def _gaussian_primary(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _eisenstein_primary(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A divisor a + bω ≡ 2 (mod 3) of p = x² + 3y² (``split_prime_eis`` or its conjugate)."""
+    """The divisor a + bω ≡ 2 (mod 3) of p = x² + 3y², x, y > 0 (``split_prime_eis``)."""
     a, b = x + y, 2 * y  # norm (x+y)² - 2y(x+y) + 4y² = p
     rotations = [(a, b), (-b, a - b), (b - a, -a)]  # times 1, ω, ω²
     on_axis = [rb % 3 == 0 for _, rb in rotations]  # exactly one, as 3 ∤ p
@@ -165,8 +180,8 @@ class Segment:
         lo, hi = scale * self.lo, scale * self.hi  # the form's values lie in [lo, hi)
         ys = np.arange(y0, isqrt(max(0, hi - 2) // D) + 1, ystep, dtype=np.int64)
         dy = D * ys * ys
-        x0 = _isqrt(np.maximum(lo - dy, 1) - 1) + 1  # least x > 0 with x² + Dy² >= lo
-        x1 = _isqrt(hi - 1 - dy)  # greatest x with x² + Dy² < hi
+        x0 = isqrt_array(np.maximum(lo - dy, 1) - 1) + 1  # least x > 0 with x² + Dy² >= lo
+        x1 = isqrt_array(hi - 1 - dy)  # greatest x with x² + Dy² < hi
         x0 += (x0 - alpha * ys - beta) % 2  # first x of the admissible parity
         counts = np.maximum((x1 - x0) // 2 + 1, 0)
         rows = counts > 0
@@ -200,15 +215,11 @@ class Segment:
         tn, td = t.numerator, t.denominator
         if d == -4:
             a, b = _gaussian_primary(x, y)
-            v = pow_array(mod_array(tn * td**3, ps), (ps - 1) // 4, ps)  # t^((p-1)/4)
-            vb = v * b % ps
-            e = _exponent([v == 1, vb == -a % ps, v == ps - 1, vb == a % ps])
+            e = symbol_exponents(mod_array(tn * td**3, ps), a, b, ps, 4)  # (t/π)_4 = i^e
             return ps, np.choose(e, [2 * a, 2 * b, -2 * a, -2 * b])
         if d == -3:
             a, b = _eisenstein_primary(x, y)
-            v = pow_array(mod_array(tn * td**2, ps), (ps - 1) // 3, ps)  # t^((p-1)/3)
-            vb = v * b % ps
-            e = _exponent([v == 1, vb == -a % ps, vb == (a - b) % ps])
+            e = symbol_exponents(mod_array(tn * td**2, ps), a, b, ps, 3)  # (t/π)_3 = ω^e
             trace = np.choose(e, [2 * a - b, -a - b, 2 * b - a])  # Tr(ω^e·π)
             return ps, -legendre_array(tn * td, ps) * trace
         # the base trace of the shipped model (``curves._base_trace``) from Legendre tables
@@ -221,11 +232,28 @@ class Segment:
         s = -t if d == -7 else t
         return ps, legendre_array(s.numerator * s.denominator * twist, ps) * base
 
-    def gaussian(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Primary divisor a + bi, b > 0, of each p ≡ 1 (mod 4) of the segment in ps."""
-        p4, x, y = self.form(-4)
-        idx = np.searchsorted(p4, ps)
-        return _gaussian_primary(x[idx], y[idx])
+    def good_traces(
+        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(p, a_p) at every good prime of E_t, a_p = 0 at the inert ones (cf. ``curves.ap``)."""
+        ps = self.primes[mod_array(spec.bad_product(table), self.primes) != 0]
+        split, a = self.traces(spec, table)
+        out = np.zeros(len(ps), dtype=np.int64)
+        out[np.searchsorted(ps, split)] = a
+        return ps, out
+
+    def primary(
+        self, d: int, ps: np.ndarray, convention: str = PRIMARY_CONVENTION
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The primary divisor of each p in ps (primes of the segment split in d): a + bi,
+        b > 0, for d = -4 (``split_prime``); a + bω ≡ 2 or 1 (mod 3) by ``convention``
+        for d = -3 (``split_prime_eis``)."""
+        pd, x, y = self.form(d)
+        idx = np.searchsorted(pd, ps)
+        if d == -4:
+            return _gaussian_primary(x[idx], y[idx])
+        a, b = _eisenstein_primary(x[idx], y[idx])
+        return (a, b) if _TARGETS[convention] == 2 else (-a, -b)
 
 
 def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
@@ -234,7 +262,7 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
         return np.isin(ps % expr.modulus, expr.residues)
     if isinstance(expr, SymOrder):
         m, t = expr.m, expr.t
-        out = ps % m == 1
+        out = (ps - 1) % m == 0
         q = ps[out]
         tm = mod_array(t.numerator * t.denominator ** (m - 1), q)  # t ≡ num·den^(m-1) mod m-th powers
         member = tm != 0
@@ -244,7 +272,7 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
         return out
     if isinstance(expr, G8):
         out = ps % 8 == 1
-        a, b = seg.gaussian(ps[out])
+        a, b = seg.primary(-4, ps[out])
         a8, b8 = int(expr.klass[0]), 4 if expr.klass.endswith("4i") else 0
         out[out] = (a % 8 == a8) & (b % 8 == b8)
         return out

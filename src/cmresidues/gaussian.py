@@ -111,7 +111,8 @@ def split_prime(p: int) -> GaussInt:
         a, b = b, a % b
     x = b
     y = isqrt(p - x * x)
-    assert x * x + y * y == p, f"Cornacchia failed at {p}; p not prime?"
+    if x * x + y * y != p:
+        raise ValueError(f"Cornacchia failed at {p}; {p} is not prime")
     z = primary_associate(GaussInt(x, y))
     return z.conj() if z.im < 0 else z
 
@@ -120,7 +121,8 @@ def i_image(pi: GaussInt, p: int) -> int:
     """The residue r ∈ F_p that i maps to under Z[i]/(π) ≅ F_p."""
     # a + b·r ≡ 0 (mod p) and r² ≡ -1.
     r = -pi.re * pow(pi.im, -1, p) % p
-    assert (r * r + 1) % p == 0
+    if (r * r + 1) % p:
+        raise ValueError(f"{pi} does not divide {p}")
     return r
 
 
@@ -246,5 +248,6 @@ def primary_class_mod8(p: int) -> str:
         raise ValueError(f"{p} is not 1 mod 8")
     pi = split_prime(p)
     a8, b8 = pi.re % 8, pi.im % 8
-    assert a8 in (1, 5) and b8 in (0, 4), (p, pi)
+    if a8 not in (1, 5) or b8 not in (0, 4):
+        raise ValueError(f"{pi} is not a primary divisor of a prime {p} ≡ 1 (mod 8)")
     return f"{a8}" if b8 == 0 else f"{a8}+4i"

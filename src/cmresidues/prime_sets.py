@@ -135,7 +135,7 @@ def classify(p: int, expr: SetExpr) -> bool:
     if isinstance(expr, CongMod):
         return p % expr.modulus in expr.residues
     if isinstance(expr, SymOrder):
-        if p % expr.m != 1 or p == 1:
+        if (p - 1) % expr.m or p == 1:
             return False
         t = expr.t
         if t.numerator % p == 0 or t.denominator % p == 0:

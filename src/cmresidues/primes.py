@@ -149,9 +149,10 @@ def sqrt_mod(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
+    # a non-residue exists below every prime; none below an odd square
+    z = next((z for z in range(2, p) if jacobi(z, p) == -1), None)
+    if z is None:
+        raise ValueError(f"sqrt_mod: no quadratic non-residue modulo {p}; {p} is not prime")
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)

@@ -23,6 +23,9 @@ Criteria
      the documented d = -4, t = 3 octic anomaly, which is pinned to its
      exact observed counts and must keep FAILING the tolerance
   9. reports are byte-identical across worker counts (1 vs 8)
+
+Criteria 2-6 pin the exact number of checks each suite makes and print
+their elapsed seconds.
 """
 
 import time
@@ -133,10 +136,12 @@ def test_01_fast_traces_match_point_counts():
 
 
 def test_02_quartic_trace_formula_to_1e6():
+    t0 = time.time()
     res = verify_suite("trace-oracle", ts=[1, 2, -2, 3, 5, 6], p_max=10**6)
+    elapsed = time.time() - t0
     assert res.ok(), res.violations
-    assert res.checked > 400_000
-    print(f"criterion 2 PASS: trace-oracle suite, {res.checked} checks, 0 violations")
+    assert res.checked == 470_975
+    print(f"criterion 2 PASS: trace-oracle suite, {res.checked} checks, 0 violations, {elapsed:.1f}s")
 
 
 def test_03_symbol_factorisations_to_1e6():
@@ -146,6 +151,7 @@ def test_03_symbol_factorisations_to_1e6():
     elapsed = time.time() - t0
     assert odd.ok(), odd.violations
     assert two.ok(), two.violations
+    assert (odd.checked, two.checked) == (65_085, 39_175)
     assert elapsed < 300.0
     print(
         f"criterion 3 PASS: odd-part {odd.checked} + two-part {two.checked} checks, "
@@ -154,28 +160,35 @@ def test_03_symbol_factorisations_to_1e6():
 
 
 def test_04_trace_symbol_closed_form_to_1e6():
+    t0 = time.time()
     res = verify_suite("trace-symbol", p_max=10**6)
+    elapsed = time.time() - t0
     assert res.ok(), res.violations
-    assert res.checked > 200_000
-    print(f"criterion 4 PASS: trace-symbol suite, {res.checked} checks, 0 violations")
+    assert res.checked == 235_050
+    print(f"criterion 4 PASS: trace-symbol suite, {res.checked} checks, 0 violations, {elapsed:.1f}s")
 
 
 def test_05_nine_cells_partition_to_1e6():
+    t0 = time.time()
     res = verify_suite("nine-cells", p_max=10**6)
+    elapsed = time.time() - t0
     assert res.ok(), res.violations
-    assert res.checked > 500_000
-    print(f"criterion 5 PASS: nine-cells suite, {res.checked} checks, 0 violations")
+    assert res.checked == 587_412
+    print(f"criterion 5 PASS: nine-cells suite, {res.checked} checks, 0 violations, {elapsed:.1f}s")
 
 
 def test_06_quadratic_and_cubic_laws_to_1e5():
+    t0 = time.time()
     ds = [-3, -7, -8, -11, -19, -43, -67, -163]
     quad = verify_suite("quadratic", ds=ds, ts=[1, 2, 3], p_max=10**5)
     cub = verify_suite("cubic", ts=[1, 2, 3], p_max=10**5)
+    elapsed = time.time() - t0
     assert quad.ok(), quad.violations
     assert cub.ok(), cub.violations
+    assert (quad.checked, cub.checked) == (114_768, 14_352)
     print(
         f"criterion 6 PASS: quadratic {quad.checked} + cubic {cub.checked} checks, "
-        f"0 violations"
+        f"0 violations, {elapsed:.1f}s"
     )
 
 

@@ -140,7 +140,7 @@ def _eval(p, e):
     if isinstance(e, CongMod):
         return any(p % e.modulus == r for r in e.residues)
     if isinstance(e, SymOrder):
-        if p == 1 or p % e.m != 1 or (e.t.numerator * e.t.denominator) % p == 0:
+        if p == 1 or (p - 1) % e.m or (e.t.numerator * e.t.denominator) % p == 0:
             return False
         tm = e.t.numerator * pow(e.t.denominator, -1, p) % p
         v = pow(tm, (p - 1) // e.m, p)

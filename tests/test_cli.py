@@ -61,6 +61,14 @@ def test_density_order_restriction(capsys):
     assert len(out.splitlines()) == 2  # header + the single requested order
 
 
+def test_density_modulus_one(capsys):
+    # every split prime is ≡ 1 (mod 1) and its 1-class has order 1
+    code, out, _ = run(capsys, "density", "--d", "-7", "--m", "1", "--pmax", "10000")
+    assert code == 0
+    (row,) = [line.split(",") for line in out.splitlines()[1:]]
+    assert int(row[5]) > 0 and row[6:8] == ["1.000000000", "1"] and row[10] == "pass"
+
+
 def test_density_with_plain_set(capsys):
     code, out, _ = run(
         capsys, "density", "--d", "-4", "--m", "4", "--set", "mod(8;1)", "--pmax", "20000"
@@ -273,6 +281,7 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--n", "1"], "verify does not take --n"),
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--set", "mod(8;1)"], "verify does not take --set"),
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--workers", "3"], "verify does not take --workers"),
+        (["verify", "--suite", "two-factor", "--pmax", "4294967297"], "limit 2**32"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):

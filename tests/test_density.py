@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import n_order
 
-from cmresidues.curves import CurveModel, CurveSpec, ap_naive, default_table
+from cmresidues import density
+from cmresidues.curves import CurveModel, CurveSpec, ap, ap_naive, default_table
 from cmresidues.density import (
     GAP_MAX,
     Z_MAX,
@@ -226,7 +227,7 @@ def _oracle_tally(item, p_max, p_min=5, table=None):
     total = 0
     tallies = {m: {} for m in item.moduli}
     for p in primes_in_range(p_min, p_max):
-        if not spec.is_good(p, table) or jacobi(item.d, p) != 1 or p % lcm_all != 1:
+        if not spec.is_good(p, table) or jacobi(item.d, p) != 1 or (p - 1) % lcm_all:
             continue
         if item.extra is not None and not classify(p, item.extra):
             continue
@@ -557,6 +558,54 @@ def test_doctored_model_is_caught_by_quadratic_suite():
     # and by the density layer: the trivial-class density flips 1/4 -> 3/4
     rep = density_report(-11, 1, 2, p_max=20_000, table=_doctored_table())
     assert not rep.all_pass()
+
+
+SUITE_NAMES = ["twist", "trace-oracle", "quadratic", "cubic", "sextic-order1",
+               "odd-factor", "two-factor", "trace-symbol", "nine-cells"]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_is_segment_invariant(name, monkeypatch):
+    # the suite analogue of test_scan_is_worker_invariant: checks, params and
+    # violations (the doctored model makes the quadratic suite's non-empty)
+    # do not depend on where the segments are cut
+    kwargs = dict(p_max=6_000, table=_doctored_table())
+    whole = verify_suite(name, **kwargs)
+    monkeypatch.setattr(density, "_CHUNK", 977)
+    cut = verify_suite(name, **kwargs)
+    assert (cut.checked, cut.params, cut.violations) == (whole.checked, whole.params, whole.violations)
+    assert whole.checked > 0
+
+
+def _quadratic_violations(ds, ts, p_max, table):
+    """The quadratic law for d ≠ -4 and integral t, prime by prime from ``ap`` and ``jacobi``."""
+    out = []
+    for d in ds:
+        for t in ts:
+            spec = CurveSpec(d, Fraction(t))
+            for p in primes_in_range(5, p_max):
+                if not spec.is_good(p, table) or jacobi(d, p) != 1:
+                    continue
+                if p % 4 == 1:
+                    expected = 1 if pow(d % p, (p - 1) // 4, p) == 1 else -1
+                else:
+                    expected = -jacobi(t, p)
+                got = jacobi(ap(spec, p, table=table).ap, p)
+                if expected != got:
+                    out.append({"p": p, "suite": "quadratic", "expected": str(expected), "got": str(got)})
+    return out
+
+
+@pytest.mark.parametrize("cap", [5, 1000])
+def test_violation_list_and_order(cap, monkeypatch):
+    # five segments; the list runs in case order (t = 1, then t = 2), then p,
+    # not segment by segment
+    monkeypatch.setattr(density, "_CHUNK", 2_500)
+    table = _doctored_table()
+    res = verify_suite("quadratic", ds=[-11], ts=[1, 2], p_max=12_000, table=table, max_violations=cap)
+    expected = _quadratic_violations([-11], [1, 2], 12_000, table)
+    assert 5 < len(expected) < 1000 and expected[-1]["p"] > 10_000
+    assert res.violations == expected[:cap]
 
 
 def test_violation_cap():

@@ -109,6 +109,14 @@ def test_split_prime_rejects_inert():
         split_prime_eis(3)
 
 
+def test_non_prime_input_raises():
+    for n in (49, 55):  # an odd square hung the root search; 55 failed an assert
+        with pytest.raises(ValueError, match="not prime"):
+            split_prime_eis(n)
+    with pytest.raises(ValueError, match="does not divide"):
+        omega_image(EisInt(3, 1), 13)  # 3 + ω has norm 7
+
+
 def test_conjugate_omega_image_is_other_root():
     for p in primes_in_range(5, 500):
         if p % 3 != 1:

@@ -10,12 +10,15 @@ width limit, p < 2³², at its edge.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmresidues.cli import main
 from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
 from cmresidues.density import ScanItem, _scan_chunk, scan_batch
-from cmresidues.engine import P_LIMIT, Segment, mod_array, pow_array, set_mask
+from cmresidues.eisenstein import cubic_exponent, split_prime_eis
+from cmresidues.engine import P_LIMIT, Segment, mod_array, pow_array, set_mask, symbol_exponents
+from cmresidues.gaussian import quartic_exponent, split_prime
 from cmresidues.prime_sets import QuarticCell, SymOrder, classify, parse_set, quartic_cell_expr
 from cmresidues.primes import jacobi, order_dividing, prime_array, primes_in_range
 from test_acceptance import _big_items
@@ -41,7 +44,7 @@ def _reference_chunk(plan, bounds):
             members = [
                 i
                 for i in idxs
-                if p % math.lcm(*items[i].moduli) == 1
+                if (p - 1) % math.lcm(*items[i].moduli) == 0
                 and (items[i].extra is None or classify(p, items[i].extra))
             ]
             if not members:
@@ -108,13 +111,41 @@ def test_engine_traces_on_twisted_table_models(d):
             assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000, table), (D, t)
 
 
+def test_good_traces_are_zero_at_inert_primes():
+    seg = Segment(2, 30_000)
+    for d in (-4, -3, -19):
+        spec = CurveSpec(d, Fraction(-7, 4))
+        ps, a = seg.good_traces(spec)
+        assert ps.tolist() == [p for p in primes_in_range(2, 30_000) if spec.is_good(p)]
+        assert a.tolist() == [ap(spec, p).ap for p in ps.tolist()]
+
+
+def test_divisors_and_exponents_match_the_scalar_route():
+    seg = Segment(13, 30_000)
+    for d, k, convention, scalar in (
+        (-4, 4, "two-mod-three", quartic_exponent),
+        (-3, 3, "two-mod-three", cubic_exponent),
+        (-3, 3, "one-mod-three", cubic_exponent),
+    ):
+        ps = seg.form(d)[0]
+        a, b = seg.primary(d, ps, convention)
+        if d == -4:
+            pis = [split_prime(p) for p in ps.tolist()]
+        else:
+            pis = [split_prime_eis(p, convention) for p in ps.tolist()]
+        assert list(zip(a.tolist(), b.tolist())) == [tuple(vars(pi).values()) for pi in pis]
+        for x in (2, 3, 7, 11):
+            got = symbol_exponents(np.full(len(ps), x), a, b, ps, k)
+            assert got.tolist() == [scalar(x, pi, p) for pi, p in zip(pis, ps.tolist())]
+
+
 def _set_exprs():
     exprs = []
     for t in (Fraction(1), Fraction(3), Fraction(-2), Fraction(5, 3)):
         cells = [quartic_cell_expr(c, t) for c in QuarticCell]
         exprs += cells + [~e for e in cells] + [cells[0] | cells[6]]
     exprs += [SymOrder(6, Fraction(-7, 4), n) for n in (1, 2, 3, 6)]
-    exprs += [parse_set("symord(1;2;1) | mod(12;1,7) & !g8(5+4i)")]
+    exprs += [parse_set("symord(1;2;1) | mod(12;1,7) & !g8(5+4i)"), SymOrder(1, Fraction(3), 1)]
     return exprs
 
 
@@ -132,7 +163,8 @@ def test_set_masks_match_classify():
 def test_scan_chunk_matches_reference_on_the_sweep():
     items = tuple(_big_items()[0])
     assert len(items) == 40
-    plan = (items, None)
+    # m = 1: every split prime is ≡ 1 (mod 1), and its 1-class has order 1
+    plan = (items + (ScanItem(-7, Fraction(1), (1,)), ScanItem(-3, Fraction(2), (1, 6))), None)
     assert _scan_chunk(plan, (5, 60_000)) == _reference_chunk(plan, (5, 60_000))
 
 

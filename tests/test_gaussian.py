@@ -80,6 +80,13 @@ def test_split_prime_rejects_inert():
         split_prime(7)
 
 
+def test_non_prime_input_raises():
+    with pytest.raises(ValueError, match="not prime"):
+        split_prime(169)
+    with pytest.raises(ValueError, match="does not divide"):
+        i_image(GaussInt(3, 2), 17)  # 3+2i divides 13, not 17
+
+
 def _euler_exp(x: int, p: int, pi: GaussInt) -> int:
     """Independent symbol computation: match x^((p-1)/4) against powers of r."""
     r = i_image(pi, p)

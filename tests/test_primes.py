@@ -73,6 +73,11 @@ def test_sqrt_mod_composite_modulus_raises():
     assert jacobi(5, 21) == 1
     with pytest.raises(ValueError, match="not prime"):
         sqrt_mod(5, 21)
+    # modulo an odd square every unit has Jacobi symbol +1, so a search for
+    # a non-residue never ends unless it is bounded
+    for n in (25, 49, 169):
+        with pytest.raises(ValueError, match="not prime"):
+            sqrt_mod(-1, n)
 
 
 def test_order_dividing_vs_sympy():
