@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,8 +259,20 @@ def cmd_conjecture(cfg: RunConfig) -> int:
 _DISPATCH = {"verify": cmd_verify, "density": cmd_density, "conjecture": cmd_conjecture}
 
 
+def _glue_negative_t(argv: list[str]) -> list[str]:
+    """``--t -1/2`` as ``--t=-1/2``: argparse takes a value that starts with
+    '-' and is not a plain number for a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--t" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--t={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_glue_negative_t(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _merge(args)
         return _DISPATCH[args.command](cfg)

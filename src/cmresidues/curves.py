@@ -36,14 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
 
 from .eisenstein import cubic_exponent, split_prime_eis
 from .gaussian import split_prime, quartic_exponent
-from .primes import Rational, jacobi, order_dividing, sqrt_mod, squarefree_part
+from .primes import Rational, cornacchia, cornacchia_4p, jacobi, order_dividing, reduce_mod, squarefree_part
 
 DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -126,7 +125,11 @@ class ApRecord:
 
 
 def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
-    """Parse a model table (rows ``d a1 a2 a3 a4 a6``); all nine d required."""
+    """Parse a model table (rows ``d a1 a2 a3 a4 a6``); all nine d required.
+
+    A table read from ``path`` must keep the built-in d = -4 and d = -3 rows
+    (ValueError otherwise); only the d <= -7 models may vary.
+    """
     if path is None:
         text = resources.files("cmresidues.data").joinpath("curves.txt").read_text()
     else:
@@ -151,59 +154,15 @@ def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
     missing = [d for d in DISCRIMINANTS if d not in table]
     if missing:
         raise ValueError(f"curve table is missing discriminants {missing}")
+    if path is not None and any(table[d] != default_table()[d] for d in (-4, -3)):
+        # traces and point counts of these two families read t alone, never the model
+        raise ValueError("curve table: the d = -4 and d = -3 rows must be the built-in ones; vary --t instead")
     return table
 
 
 @lru_cache(maxsize=1)
 def default_table() -> dict[int, CurveModel]:
     return load_curve_table()
-
-
-# ---------------------------------------------------------------------------
-# Norm equations
-
-
-def cornacchia(D: int, p: int) -> tuple[int, int]:
-    """Minimal-machinery Cornacchia: p = x² + D y² with x, y >= 0.
-
-    Tries both square roots of -D; for prime p one of them yields the
-    (essentially unique, D > 1) representation when it exists.
-    """
-    if p == D:
-        return 0, 1
-    r0 = sqrt_mod(-D, p)  # raises if -D is a non-residue
-    for r in (r0, p - r0):
-        a, b = p, r
-        while b * b > p:
-            a, b = b, a % b
-        rem = p - b * b
-        if rem % D == 0:
-            y = isqrt(rem // D)
-            if D * y * y == rem:
-                return b, y
-    raise ValueError(f"{p} is not represented by x² + {D}y²")
-
-
-def cornacchia_4p(D: int, p: int) -> tuple[int, int]:
-    """Solve 4p = u² + |D| v² with u, v > 0 for odd D < 0 (|D| < 4p).
-
-    The classical modified algorithm: root of D mod p with the parity of D,
-    then the Euclidean walk down to 2√p.
-    """
-    n = -D
-    x0 = sqrt_mod(D, p)
-    if x0 % 2 != n % 2:
-        x0 = p - x0
-    a, b = 2 * p, x0
-    limit = isqrt(4 * p)
-    while b > limit:
-        a, b = b, a % b
-    rem = 4 * p - b * b
-    if rem % n == 0:
-        v = isqrt(rem // n)
-        if n * v * v == rem:
-            return b, v
-    raise ValueError(f"4·{p} is not represented by u² + {n}v²")
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +190,11 @@ def _count_cubic(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
     return -int(chi[fx].sum())
 
 
-def _reduce_t(t: Fraction, p: int) -> int:
-    return t.numerator % p * pow(t.denominator, -1, p) % p
-
-
 def ap_naive(spec: CurveSpec, p: int, table: dict[int, CurveModel] | None = None) -> int:
     """Frobenius trace by direct point count — the slow, assumption-free route."""
     if not spec.is_good(p, table):
         raise ValueError(f"{spec} has bad reduction at {p}")
-    tm = _reduce_t(spec.t, p)
+    tm = reduce_mod(spec.t, p)
     if spec.d == -4:
         return _count_cubic(1, 0, -tm, 0, p)
     if spec.d == -3:

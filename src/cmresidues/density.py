@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -59,6 +59,7 @@ from .primes import (
     jacobi,
     kfree_reduce,
     prime_array,
+    reduce_mod,
     squarefree_part,
 )
 
@@ -156,6 +157,24 @@ def cubic_trivial_density(t: Rational | int, cond_m: int) -> Fraction:
     return Fraction(5, 9)
 
 
+def _family_table(d: int, t: Rational | int, g: int, cond_m: int) -> tuple[dict[int, Fraction], str]:
+    """(densities-per-order, source-tag) of the g-class over C_{cond_m}^1 ∩ split(d), 1 < g | w_d."""
+    if d == -4:
+        full = cm4_order_densities(t, cond_m)
+        if g == 2 and 4 in full:
+            # quadratic class trivial ⇔ quartic order ≤ 2
+            return {1: full[1] + full[2], 2: full[4]}, "quartic-table"
+        return full, "quartic-table"
+    if g == 2:
+        q = quadratic_trivial_density(d, t, cond_m)
+        return {1: q, 2: 1 - q}, "quadratic-table"
+    c = cubic_trivial_density(t, cond_m)
+    if g == 3:
+        return {1: c, 3: 1 - c}, "cubic-table"
+    q = quadratic_trivial_density(-3, t, cond_m)
+    return {1: q * c, 2: (1 - q) * c, 3: q * (1 - c), 6: (1 - q) * (1 - c)}, "sextic-product"
+
+
 def predict_orders(
     d: int, t: Rational | int, sym_m: int, cond_m: int
 ) -> tuple[dict[int, Fraction], str] | None:
@@ -170,47 +189,12 @@ def predict_orders(
     if cond_m % sym_m:
         raise ValueError(f"conditioning modulus {cond_m} is not a multiple of the symbol modulus {sym_m}")
     g = gcd(sym_m, unit_count(d))
-    if g == sym_m:
-        if d == -4:
-            if sym_m == 4:
-                return cm4_order_densities(t, cond_m), "quartic-table"
-            if sym_m == 2:
-                full = cm4_order_densities(t, cond_m)
-                if 4 in full:
-                    # quadratic class trivial ⇔ quartic order ≤ 2
-                    return {1: full[1] + full[2], 2: full[4]}, "quartic-table"
-                return full, "quartic-table"
-            return {1: Fraction(1)}, "leading-table"  # sym_m == 1
-        if sym_m == 1:
-            return {1: Fraction(1)}, "leading-table"
-        if sym_m == 2:
-            q = quadratic_trivial_density(d, t, cond_m)
-            return {1: q, 2: 1 - q}, "quadratic-table"
-        if d == -3 and sym_m == 3:
-            c = cubic_trivial_density(t, cond_m)
-            return {1: c, 3: 1 - c}, "cubic-table"
-        assert d == -3 and sym_m == 6
-        q = quadratic_trivial_density(-3, t, cond_m)
-        c = cubic_trivial_density(t, cond_m)
-        return {1: q * c, 2: (1 - q) * c, 3: q * (1 - c), 6: (1 - q) * (1 - c)}, "sextic-product"
     if g == 1:
         return {n: Fraction(euler_phi(n), sym_m) for n in _divisors(sym_m)}, "leading-table"
-    return {1: Fraction(g, sym_m) * _trivial_of_subfamily(d, t, cond_m, g)}, "leading-table"
-
-
-def _trivial_of_subfamily(d: int, t: Rational | int, cond_m: int, g: int) -> Fraction:
-    """δ_g¹ over C_{cond_m}^1 for the constrained part of the symbol."""
-    if g == 2:
-        if d == -4:
-            full = cm4_order_densities(t, cond_m)
-            return full[1] + full[2] if 4 in full else full[1]
-        return quadratic_trivial_density(d, t, cond_m)
-    if g == 3:
-        return cubic_trivial_density(t, cond_m)
-    if g == 4:
-        return cm4_order_densities(t, cond_m)[1]
-    assert g == 6
-    return quadratic_trivial_density(-3, t, cond_m) * cubic_trivial_density(t, cond_m)
+    table, source = _family_table(d, t, g, cond_m)
+    if g == sym_m:
+        return table, source
+    return {1: Fraction(g, sym_m) * table[1]}, "leading-table"
 
 
 def trivial_symbol_density(d: int, t: Rational | int, m: int) -> Fraction:
@@ -227,19 +211,7 @@ def trivial_symbol_density(d: int, t: Rational | int, m: int) -> Fraction:
     t = Fraction(t)
     if t != kfree_reduce(t, k):
         raise ValueError(f"t = {t} is not {k}-th-power-free; reduce it first (kfree_reduce)")
-    g = gcd(m, unit_count(d))
-    if g == 1:
-        return Fraction(1, m)
-    if g == 2:
-        if d == -4:
-            return Fraction(2, m) * cm4_order_densities(t, m)[1]
-        return Fraction(2, m) * quadratic_trivial_density(d, t, m)
-    if g == 3:
-        return Fraction(3, m) * cubic_trivial_density(t, m)
-    if g == 4:
-        return Fraction(4, m) * cm4_order_densities(t, m)[1]
-    assert g == 6
-    return Fraction(6, m) * quadratic_trivial_density(-3, t, m) * cubic_trivial_density(t, m)
+    return predict_orders(d, t, m, m)[0][1]
 
 
 def scaling_parameters(m: int, n: int, w: int) -> tuple[int, int, Fraction]:
@@ -305,12 +277,12 @@ class ItemResult:
                 mine[o] = mine.get(o, 0) + c
 
 
-def _segments(p_min: int, p_max: int, chunk: int) -> list[tuple[int, int]]:
-    """The segment cut of [p_min, p_max); the engine's residues are uint64, so
-    p_max may be at most 2**32 (ValueError otherwise)."""
+def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
+    """The segment cut of [p_min, p_max) every ``_CHUNK`` integers; the engine's
+    residues are uint64, so p_max may be at most 2**32 (ValueError otherwise)."""
     if p_max > P_LIMIT:
         raise ValueError(f"p_max = {p_max} is past the engine's limit 2**32 (uint64 products)")
-    return PrimeRange(p_min, p_max, chunk).segments()
+    return PrimeRange(p_min, p_max, _CHUNK).segments()
 
 
 def _scan_chunk(plan, bounds):
@@ -363,23 +335,23 @@ def scan_batch(
     p_min: int = 5,
     workers: int = 1,
     table: dict[int, CurveModel] | None = None,
-    chunk: int = _CHUNK,
 ) -> list[ItemResult]:
     """Tally all items over primes in [p_min, p_max).
 
-    Segment boundaries depend only on (p_min, p_max, chunk); merging integer
-    tallies is order-independent, so the result is a pure function of the
-    arguments regardless of `workers`.  The engine's residues are uint64, so
+    Segment boundaries depend only on (p_min, p_max), cut every 250 000
+    integers; merging integer tallies is order-independent, so the result is
+    a pure function of the arguments regardless of `workers`, which starts
+    at most one process per segment.  The engine's residues are uint64, so
     p_max may be at most 2**32 (ValueError otherwise).
     """
     items = tuple(items)
     plan = (items, table)
-    segments = _segments(p_min, p_max, chunk)
+    segments = _segments(p_min, p_max)
     if workers <= 1 or len(segments) <= 1:
         parts = [_scan_chunk(plan, seg) for seg in segments]
     else:
         ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(plan,)) as pool:
+        with ctx.Pool(min(workers, len(segments)), initializer=_init_worker, initargs=(plan,)) as pool:
             parts = list(pool.imap(_scan_chunk_in_worker, segments, chunksize=1))
     results = [
         ItemResult(item, p_max, 0, {m: {} for m in item.moduli}) for item in items
@@ -432,46 +404,13 @@ class Report:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["d", "t", "m", "n", "set", "N", "empirical", "predicted", "source", "z", "verdict"])
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.d,
-                    str(r.t),
-                    r.m,
-                    r.n,
-                    r.set,
-                    r.N,
-                    _fmt_float(r.empirical),
-                    _fmt_pred(r.predicted),
-                    r.source,
-                    _fmt_z(r.z),
-                    r.verdict,
-                ]
-            )
+        w = csv.DictWriter(out, _FIELDS, lineterminator="\n")
+        w.writeheader()
+        w.writerows(_cells(r) for r in self.rows)
         return out.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "meta": self.meta,
-            "rows": [
-                {
-                    "d": r.d,
-                    "t": str(r.t),
-                    "m": r.m,
-                    "n": r.n,
-                    "set": r.set,
-                    "N": r.N,
-                    "empirical": _fmt_float(r.empirical),
-                    "predicted": _fmt_pred(r.predicted),
-                    "source": r.source,
-                    "z": _fmt_z(r.z),
-                    "verdict": r.verdict,
-                }
-                for r in self.rows
-            ],
-        }
+        payload = {"meta": self.meta, "rows": [_cells(r) for r in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -480,15 +419,20 @@ def _fmt_float(v: float | None) -> str:
 
 
 def _fmt_pred(v: Fraction | float | None) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return str(v)
-    return f"{v:.9f}"
+    return str(v) if isinstance(v, Fraction) else _fmt_float(v)
 
 
 def _fmt_z(v: float | None) -> str:
     return "" if v is None else f"{v:.4f}"
+
+
+_FIELDS = tuple(f.name for f in fields(ReportRow))  # the column order of both formats
+_FORMATS = {"t": str, "empirical": _fmt_float, "predicted": _fmt_pred, "z": _fmt_z}
+
+
+def _cells(r: ReportRow) -> dict:
+    """One report row as its output cells, keyed by field name in ``_FIELDS`` order."""
+    return {f: _FORMATS.get(f, lambda v: v)(getattr(r, f)) for f in _FIELDS}
 
 
 def base_meta(p_max: int) -> dict:
@@ -596,7 +540,6 @@ def density_report(
     p_max: int = 10**6,
     workers: int = 1,
     table: dict[int, CurveModel] | None = None,
-    chunk: int = _CHUNK,
 ) -> Report:
     """Empirical order partition of the m-class of a_p, with closed-form verdicts.
 
@@ -604,13 +547,7 @@ def density_report(
     C_M^1 cell (set_expr None or mod(M;1)) and a table covers (d, m); other
     conditionings report empirical densities with verdict n/a.
     """
-    res = scan_batch(
-        [ScanItem(d, Fraction(t), (m,), set_expr)],
-        p_max,
-        workers=workers,
-        table=table,
-        chunk=chunk,
-    )[0]
+    res = run_scan(d, t, m, set_expr, p_max, workers=workers, table=table)
     return Report(density_rows(res, m, orders), base_meta(p_max))
 
 
@@ -624,7 +561,6 @@ def conjecture_report(
     p_max: int = 10**6,
     workers: int = 1,
     table: dict[int, CurveModel] | None = None,
-    chunk: int = _CHUNK,
 ) -> Report:
     """Check the scaling law: δ_m^n against rescaled empirical δ_{m'}^{n'}.
 
@@ -633,13 +569,8 @@ def conjecture_report(
     is an identity (z = 0 by construction); for d = -3, m = 6 the report
     additionally carries product-rule rows δ_6^n vs δ_2^(n,2) · δ_3^(n,3).
     """
-    res = scan_batch(
-        [ScanItem(d, Fraction(t), conjecture_moduli(d, m), set_expr)],
-        p_max,
-        workers=workers,
-        table=table,
-        chunk=chunk,
-    )[0]
+    item = ScanItem(d, Fraction(t), conjecture_moduli(d, m), set_expr)
+    res = scan_batch([item], p_max, workers=workers, table=table)[0]
     return Report(scaling_rows(res, m, orders), base_meta(p_max))
 
 
@@ -776,7 +707,7 @@ def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     """
     for c, t in enumerate(ts):
         ps, a = seg.traces(CurveSpec(-3, t), table)
-        rhs = [_sextic_rhs(p, t.numerator * pow(t.denominator, -1, p) % p) for p in ps.tolist()]
+        rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
         rec.check(c, ps, rhs, residue_orders(a, ps, 6) == 1)
 
 
@@ -855,7 +786,7 @@ SUITES = {
 def _run_suite(name: str, check, args: tuple, params: dict, p_max: int, cap: int) -> SuiteResult:
     """Walk the segments of [5, p_max), one Segment each for all of the suite's cases."""
     rec = _Recorder(name, cap)
-    for bounds in _segments(5, max(p_max, 5), _CHUNK):
+    for bounds in _segments(5, max(p_max, 5)):
         check(Segment(*bounds), rec, *args)
     return SuiteResult(name, rec.checked, [v for _, v in rec.found], params)
 

@@ -22,10 +22,8 @@ against point counts; ≡ 2 (mod 3) is the frozen default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
 
-from .primes import Rational, sqrt_mod
+from .primes import Rational, cornacchia, reduce_mod
 
 PRIMARY_CONVENTION = "two-mod-three"  # π ≡ 2 (mod 3); see calibrate_eisenstein
 _TARGETS = {"two-mod-three": 2, "one-mod-three": 1}
@@ -88,23 +86,12 @@ def primary_associate_eis(z: EisInt, convention: str = PRIMARY_CONVENTION) -> Ei
 def split_prime_eis(p: int, convention: str = PRIMARY_CONVENTION) -> EisInt:
     """Canonical divisor of p ≡ 1 (mod 3) in Z[ω], normalised mod 3.
 
-    Cornacchia for p = u² + 3v²; both square roots of -3 are tried so the
-    exactness check always lands (for p prime one of them does).
+    From p = u² + 3v² (``cornacchia``): u + v√-3 = (u+v) + 2vω.
     """
     if p % 3 != 1:
         raise ValueError(f"{p} does not split in Z[ω]")
-    r0 = sqrt_mod(-3, p)
-    for r in (r0, p - r0):
-        a, b = p, r
-        while b * b > p:
-            a, b = b, a % b
-        rem = p - b * b
-        if rem % 3 == 0:
-            v = isqrt(rem // 3)
-            if 3 * v * v == rem:
-                # u + v√-3 = (u+v) + 2vω
-                return primary_associate_eis(EisInt(b + v, 2 * v), convention)
-    raise ValueError(f"Cornacchia failed for {p}; {p} is not prime")
+    u, v = cornacchia(3, p)
+    return primary_associate_eis(EisInt(u + v, 2 * v), convention)
 
 
 def omega_image(pi: EisInt, p: int | None = None) -> int:
@@ -146,10 +133,7 @@ def cubic_exponent(x: int | Rational, pi: EisInt, p: int | None = None) -> int:
     """Exponent e with (x/π)_3 = ω^e, for π of prime norm p ≡ 1 (mod 3)."""
     if p is None:
         p = pi.norm()
-    if isinstance(x, Fraction):
-        xm = x.numerator % p * pow(x.denominator, -1, p) % p
-    else:
-        xm = x % p
+    xm = reduce_mod(x, p)
     if xm == 0:
         raise ValueError(f"cubic symbol of 0 (x ≡ 0 mod {p})")
     s = omega_image(pi, p)

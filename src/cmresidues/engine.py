@@ -262,13 +262,9 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
         return np.isin(ps % expr.modulus, expr.residues)
     if isinstance(expr, SymOrder):
         m, t = expr.m, expr.t
-        out = (ps - 1) % m == 0
-        q = ps[out]
-        tm = mod_array(t.numerator * t.denominator ** (m - 1), q)  # t ≡ num·den^(m-1) mod m-th powers
-        member = tm != 0
-        q, tm = q[member], tm[member]
-        member[member] = order_array(pow_array(tm, (q - 1) // m, q), m, q) == expr.n
-        out[out] = member
+        tm = mod_array(t.numerator * t.denominator ** (m - 1), ps)  # t ≡ num·den^(m-1) mod m-th powers
+        out = tm != 0
+        out[out] = residue_orders(tm[out], ps[out], m) == expr.n  # 0 at p ≢ 1 (mod m), and n >= 1
         return out
     if isinstance(expr, G8):
         out = ps % 8 == 1

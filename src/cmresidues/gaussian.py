@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .primes import Rational, jacobi, sqrt_mod
+from .primes import Rational, cornacchia, jacobi, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,12 @@ def primary_associate(z: GaussInt) -> GaussInt:
 def split_prime(p: int) -> GaussInt:
     """Canonical primary divisor of p ≡ 1 (mod 4) in Z[i], imaginary part > 0.
 
-    Cornacchia via the Euclidean algorithm on (p, sqrt(-1) mod p): the first
-    remainder below sqrt(p) is |re| of a divisor.  Deterministic because
-    sqrt_mod is.
+    The primary associate of x + yi, p = x² + y² by ``cornacchia``.
+    Deterministic because sqrt_mod is.
     """
     if p % 4 != 1:
         raise ValueError(f"{p} does not split in Z[i]")
-    r = sqrt_mod(-1, p)
-    a, b = p, r
-    while b * b > p:
-        a, b = b, a % b
-    x = b
-    y = isqrt(p - x * x)
-    if x * x + y * y != p:
-        raise ValueError(f"Cornacchia failed at {p}; {p} is not prime")
-    z = primary_associate(GaussInt(x, y))
+    z = primary_associate(GaussInt(*cornacchia(1, p)))
     return z.conj() if z.im < 0 else z
 
 
@@ -160,11 +150,7 @@ def quartic_exponent(x: int | Rational, pi: GaussInt, p: int | None = None) -> i
     """
     if p is None:
         p = pi.norm()
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-        xm = num % p * pow(den, -1, p) % p
-    else:
-        xm = x % p
+    xm = reduce_mod(x, p)
     if xm == 0:
         raise ValueError(f"quartic symbol of 0 (x ≡ 0 mod {p})")
     r = i_image(pi, p)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import G8_CLASSES, primary_class_mod8
-from .primes import Rational, order_dividing, parse_rational
+from .primes import Rational, order_dividing, parse_rational, reduce_mod
 
 
 class SetExprError(ValueError):
@@ -140,7 +140,7 @@ def classify(p: int, expr: SetExpr) -> bool:
         t = expr.t
         if t.numerator % p == 0 or t.denominator % p == 0:
             return False
-        tm = t.numerator % p * pow(t.denominator, -1, p) % p
+        tm = reduce_mod(t, p)
         return order_dividing(pow(tm, (p - 1) // expr.m, p), expr.m, p) == expr.n
     if isinstance(expr, G8):
         return p % 8 == 1 and primary_class_mod8(p) == expr.klass
@@ -335,7 +335,7 @@ def quartic_cell(p: int, t: Rational | int) -> QuarticCell:
         raise ValueError(f"{p} is not 1 mod 4")
     if (2 * t.numerator * t.denominator) % p == 0:
         raise ValueError(f"cell undefined: {p} divides 2t")
-    tm = t.numerator % p * pow(t.denominator, -1, p) % p
+    tm = reduce_mod(t, p)
     if p % 8 == 1:
         klass = primary_class_mod8(p)
         if klass == "1":

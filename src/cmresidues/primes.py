@@ -173,6 +173,50 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
+def cornacchia(D: int, p: int) -> tuple[int, int]:
+    """Minimal-machinery Cornacchia: p = x² + D y² with x, y >= 0, D ∈ {1, 2, 3}.
+
+    Tries both square roots of -D; for prime p one of them yields the
+    (essentially unique, D > 1) representation, which exists whenever -D is
+    a square mod p, as these forms have class number one.
+    """
+    if p == D:
+        return 0, 1
+    r0 = sqrt_mod(-D, p)  # raises if -D is a non-residue
+    for r in (r0, p - r0):
+        a, b = p, r
+        while b * b > p:
+            a, b = b, a % b
+        rem = p - b * b
+        if rem % D == 0:
+            y = isqrt(rem // D)
+            if D * y * y == rem:
+                return b, y
+    raise ValueError(f"{p} is not represented by x² + {D}y², so {p} is not prime")
+
+
+def cornacchia_4p(D: int, p: int) -> tuple[int, int]:
+    """Solve 4p = u² + |D| v² with u, v > 0 for odd D < 0 (|D| < 4p).
+
+    The classical modified algorithm: root of D mod p with the parity of D,
+    then the Euclidean walk down to 2√p.
+    """
+    n = -D
+    x0 = sqrt_mod(D, p)
+    if x0 % 2 != n % 2:
+        x0 = p - x0
+    a, b = 2 * p, x0
+    limit = isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    rem = 4 * p - b * b
+    if rem % n == 0:
+        v = isqrt(rem // n)
+        if n * v * v == rem:
+            return b, v
+    raise ValueError(f"4·{p} is not represented by u² + {n}v²")
+
+
 @lru_cache(maxsize=None)
 def _divisors(m: int) -> tuple[int, ...]:
     out = [d for d in range(1, m + 1) if m % d == 0]
@@ -214,6 +258,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def reduce_mod(x: Rational | int, p: int) -> int:
+    """x mod p for an integer, or a rational whose denominator is prime to p."""
+    return x.numerator % p * pow(x.denominator, -1, p) % p
 
 
 def kfree_reduce(t: Rational | int, k: int) -> int:

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from cmresidues.cli import main, read_config_file
-from cmresidues.curves import default_table
+from cmresidues.curves import CurveModel, default_table
 
 
 def run(capsys, *argv):
@@ -165,6 +165,17 @@ def test_workers_do_not_change_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["density", "conjecture"])
+def test_negative_rational_twist_after_a_space(capsys, command):
+    # "-1/2" starts with '-' but is no plain number, so argparse alone reads it as a flag
+    argv = [command, "--d", "-7", "--m", "4", "--pmax", "20000"]
+    spaced = run(capsys, *argv, "--t", "-1/2")
+    assert spaced == run(capsys, *argv, "--t=-1/2")
+    assert spaced[1].splitlines()[1].startswith("-7,-1/2,4,")
+    code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--d", "-11", "--t", "-3/4", "--pmax", "2000")
+    assert code == 0 and json.loads(out)["params"]["ts"] == ["-3/4"]
 
 
 def test_module_entry_point():
@@ -332,6 +343,26 @@ def test_malformed_curve_table_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "expected 6 fields" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--d", "-4", "--m", "4"),
+        ("density", "--d", "-3", "--m", "3"),
+        ("verify", "--suite", "trace-oracle"),
+    ],
+)
+def test_curve_table_fixed_families_exit_2(tmp_path, capsys, argv):
+    # these two families are fixed by t alone: another model cannot change a report
+    models = dict(default_table())
+    models[-4] = CurveModel(0, 0, 0, -4, 0)  # y² = x³ - 4x
+    models[-3] = CurveModel(0, 0, 0, 0, 1)  # y² = x³ + 1
+    f = tmp_path / "fixed.txt"
+    f.write_text("".join(f"{d} {m.a1} {m.a2} {m.a3} {m.a4} {m.a6}\n" for d, m in models.items()))
+    code, out, err = run(capsys, *argv, "--pmax", "2000", "--curve-table", str(f))
+    assert code == 2 and out == ""
+    assert "vary --t" in err
 
 
 def test_verify_doctored_table_exits_1(tmp_path, capsys):

@@ -9,6 +9,7 @@ checked against scans, so a regression in either direction trips a test.
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -163,19 +164,20 @@ def test_predict_orders_rejects_coarser_conditioning():
         predict_orders(-4, 1, 8, 4)
 
 
-def test_predict_orders_agrees_with_master_table():
-    for d in (-3, -4, -7, -8, -163):
-        k = {-4: 4, -3: 6}.get(d, 2)
-        for t in (1, 2, 3, -1, 6):
-            for m in (2, 4, 6, 8, 12):
-                tr = Fraction(t)
-                from cmresidues.primes import kfree_reduce
-
-                if kfree_reduce(tr, k) != tr:
-                    continue
-                got = predict_orders(d, tr, m, m)
-                assert got is not None
-                assert got[0][1] == trivial_symbol_density(d, tr, m), (d, t, m)
+def test_predict_orders_branches_frozen():
+    F = Fraction
+    frozen = {
+        (-4, 3, 2, 8): ({1: 1, 2: 0}, "quartic-table"),  # quartic order ≤ 2 vs 4
+        (-4, 3, 2, 2): ({1: F(3, 4), 2: F(1, 4)}, "quartic-table"),
+        (-4, 2, 6, 12): ({1: F(1, 3)}, "leading-table"),
+        (-4, 1, 8, 8): ({1: F(1, 4)}, "leading-table"),
+        (-3, 2, 9, 9): ({1: F(1, 3)}, "leading-table"),
+        (-3, 2, 12, 12): ({1: F(5, 36)}, "leading-table"),
+        (-3, 1, 4, 4): ({1: F(1, 4)}, "leading-table"),
+        (-7, 3, 6, 6): ({1: F(1, 4)}, "leading-table"),
+    }
+    for args, expected in frozen.items():
+        assert predict_orders(*args) == expected, args
 
 
 def test_scaling_parameters_frozen():
@@ -250,8 +252,9 @@ SCAN_ITEMS = [
 ]
 
 
-def test_scan_matches_independent_tally():
-    results = scan_batch(SCAN_ITEMS, 20_000, chunk=6_000)
+def test_scan_matches_independent_tally(monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 6_000)
+    results = scan_batch(SCAN_ITEMS, 20_000)
     assert len(results) == len(SCAN_ITEMS)
     for item, res in zip(SCAN_ITEMS, results):
         total, tallies = _oracle_tally(item, 20_000)
@@ -264,15 +267,42 @@ def test_scan_matches_independent_tally():
 
 
 @pytest.mark.parametrize("chunk", [6_000, 7_000, 7_919, 250_000])
-def test_scan_is_worker_invariant(chunk):
+def test_scan_is_worker_invariant(chunk, monkeypatch):
     # segment edges at multiples of chunk must neither lose nor repeat a
     # norm-form lattice point: every layout equals the one-segment scan
-    one = scan_batch(SCAN_ITEMS[:3], 60_000, workers=1, chunk=chunk)
-    many = scan_batch(SCAN_ITEMS[:3], 60_000, workers=3, chunk=chunk)
-    whole = scan_batch(SCAN_ITEMS[:3], 60_000, chunk=60_000)
+    monkeypatch.setattr(density, "_CHUNK", 60_000)
+    whole = scan_batch(SCAN_ITEMS[:3], 60_000)
+    monkeypatch.setattr(density, "_CHUNK", chunk)
+    one = scan_batch(SCAN_ITEMS[:3], 60_000, workers=1)
+    many = scan_batch(SCAN_ITEMS[:3], 60_000, workers=3)
     for a, b, c in zip(one, many, whole):
         assert a.total == b.total == c.total
         assert a.tallies == b.tallies == c.tallies
+
+
+def test_pool_has_no_more_workers_than_segments(monkeypatch):
+    # 10**6 is four segments: eight requested workers start a pool of four
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, size, initializer, initargs):
+            sizes.append(size)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, args, chunksize):
+            return map(fn, args)
+
+    monkeypatch.setattr(density, "_WORKER_PLAN", None)
+    monkeypatch.setattr(density, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool))
+    pooled = density_report(-7, 1, 2, p_max=10**6, workers=8)
+    assert sizes == [4]
+    assert pooled.to_csv() == density_report(-7, 1, 2, p_max=10**6).to_csv()
 
 
 def test_scan_merge_over_split_ranges():
@@ -463,8 +493,9 @@ def test_scaling_rows_product_rule():
     assert prod[6].predicted == pytest.approx(0.48 * 0.47)
 
 
-def test_density_report_end_to_end():
-    rep = density_report(-7, 1, 2, p_max=20_000, chunk=6_000)
+def test_density_report_end_to_end(monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 6_000)
+    rep = density_report(-7, 1, 2, p_max=20_000)
     assert [(r.n, r.predicted) for r in rep.rows] == [
         (1, Fraction(1, 4)),
         (2, Fraction(3, 4)),
@@ -476,16 +507,17 @@ def test_density_report_end_to_end():
     assert rep.meta["p_max"] == 20_000
 
 
-def test_density_report_workers_byte_identical():
-    kwargs = dict(p_max=30_000, chunk=5_000)
-    a = density_report(-4, 3, 4, workers=1, **kwargs)
-    b = density_report(-4, 3, 4, workers=4, **kwargs)
+def test_density_report_workers_byte_identical(monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 5_000)
+    a = density_report(-4, 3, 4, p_max=30_000, workers=1)
+    b = density_report(-4, 3, 4, p_max=30_000, workers=4)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
 
 
-def test_conjecture_report_end_to_end():
-    rep = conjecture_report(-4, 1, 8, p_max=20_000, chunk=6_000)
+def test_conjecture_report_end_to_end(monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 6_000)
+    rep = conjecture_report(-4, 1, 8, p_max=20_000)
     by_n = {r.n: r for r in rep.rows}
     assert set(by_n) == {1, 2, 4, 8}
     # identity rows: octic order 4 (resp. 8) is exactly quartic order 2 (resp. 4)

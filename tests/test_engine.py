@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmresidues import density
 from cmresidues.cli import main
 from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
 from cmresidues.density import ScanItem, _scan_chunk, scan_batch
@@ -180,7 +181,7 @@ def test_scan_chunk_matches_reference_with_a_table():
 # The width limit p < 2³²
 
 
-def test_engine_at_the_width_edge():
+def test_engine_at_the_width_edge(monkeypatch):
     seg = Segment(*EDGE)
     for d in DISCRIMINANTS:
         spec = CurveSpec(d, Fraction(-7, 4))
@@ -188,7 +189,8 @@ def test_engine_at_the_width_edge():
         assert len(ps) > 300
         assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, *EDGE), d
     items = tuple(_big_items()[0])
-    got = scan_batch(items, EDGE[1], p_min=EDGE[0], chunk=7_919)
+    monkeypatch.setattr(density, "_CHUNK", 7_919)
+    got = scan_batch(items, EDGE[1], p_min=EDGE[0])
     totals, tallies = _reference_chunk((items, None), EDGE)
     assert [r.total for r in got] == totals and sum(totals) > 0
     assert [r.tallies for r in got] == tallies
