@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .curves import DISCRIMINANTS, load_curve_table
 from .density import (
+    ORACLE_BOUND,
     SUITES,
     base_meta,
     conjecture_report,
@@ -49,7 +50,7 @@ class RunConfig:
     n: int | None = None
     set_expr_text: str | None = None
     p_max: int = 100_000
-    oracle_bound: int = 20_000
+    oracle_bound: int | None = None
     workers: int | None = None
     out_format: str = "csv"
     out_path: str | None = None
@@ -174,7 +175,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         n=pick("n", "n"),
         set_expr_text=pick("set", "set_expr"),
         p_max=pick("pmax", "pmax", 100_000),
-        oracle_bound=pick("oracle-bound", "oracle_bound", 20_000),
+        oracle_bound=pick("oracle-bound", "oracle_bound"),
         workers=pick("workers", "workers"),
         out_format=pick("format", "format", "csv"),
         out_path=pick("out", "out"),
@@ -203,12 +204,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     unused = [flag for flag, value in given.items() if value is not None]
     if unused:
         raise UsageError(f"verify does not take {', '.join(unused)}: suites run no scan")
+    if cfg.oracle_bound is not None and cfg.suite != "trace-oracle":
+        raise UsageError(f"suite {cfg.suite!r} takes no oracle bound; only trace-oracle reads --oracle-bound")
     res = verify_suite(
         cfg.suite,
         ds=[cfg.d] if cfg.d is not None else None,
         ts=[cfg.t] if cfg.t is not None else None,
         p_max=cfg.p_max,
-        oracle_bound=cfg.oracle_bound,
+        oracle_bound=ORACLE_BOUND if cfg.oracle_bound is None else cfg.oracle_bound,
         table=_load_table(cfg),
     )
     payload = {

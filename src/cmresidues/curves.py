@@ -23,7 +23,8 @@ routes to a_p:
   - d <= -7: a_p = (s/p)·b_d(p), where s is the twist (-t for d = -7, t
     otherwise) and b_d(p) the trace of E^d from the norm equation
     (``_base_trace``).
-* ``ap_naive``: a direct character-sum point count, O(p) per prime.
+* ``ap_naive``: a direct character-sum point count, O(p) per prime;
+  ``naive_traces`` counts many curves at one prime in one batch.
 
 Keeping the two routes independent is the whole point — every identity
 checked downstream is only as credible as the trace computation, so the
@@ -47,6 +48,7 @@ from .primes import Rational, cornacchia, cornacchia_4p, jacobi, order_dividing,
 DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 _NAIVE_LIMIT = 2_000_000  # int64 safety margin for the character-sum count
+_NAIVE_BLOCK = 2**16  # values per 2-D pass of the naive count (one row at least): bounds its memory
 
 
 def unit_count(d: int) -> int:
@@ -179,32 +181,56 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def _count_cubic(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
-    """-Σ_x chi(c3x³ + c2x² + c1x + c0) = trace of y² = cubic, over F_p."""
+def _count_cubic(rows, p: int) -> np.ndarray:
+    """-Σ_x chi(c3x³ + c2x² + c1x + c0) for each row (c3, c2, c1, c0): the trace of
+    y² = cubic over F_p, in 2-D passes of whole rows, ``_NAIVE_BLOCK`` values or one row."""
     if p > _NAIVE_LIMIT:
         raise ValueError(f"naive count at p = {p} is past its int64-safe limit {_NAIVE_LIMIT}")
     chi = _chi_table(p)
     xs = np.arange(p, dtype=np.int64)
     x2 = xs * xs % p
-    fx = (c3 % p * (x2 * xs % p) + c2 % p * x2 + c1 % p * xs + c0 % p) % p
-    return -int(chi[fx].sum())
+    x3 = x2 * xs % p
+    coeffs = np.array([[c % p for c in row] for row in rows], dtype=np.int64).reshape(-1, 4, 1)
+    out = np.empty(len(coeffs), dtype=np.int64)
+    step = max(1, _NAIVE_BLOCK // p)
+    for i in range(0, len(coeffs), step):
+        c3, c2, c1, c0 = coeffs[i : i + step].transpose(1, 0, 2)
+        fx = c3 * x3  # in place from here: values < 4p² and one array per block
+        fx += c2 * x2
+        fx += c1 * xs
+        fx += c0
+        fx %= p
+        out[i : i + step] = -chi[fx].sum(axis=1)
+    return out
+
+
+def naive_traces(specs, p: int, table: dict[int, CurveModel] | None = None) -> np.ndarray:
+    """Frobenius trace of each spec at p by direct point count, one batch for all of them.
+
+    Each spec's own cubic is evaluated at every x in F_p; nothing is shared
+    between specs but the character table, so a twist is counted, not inferred.
+    """
+    rows = []
+    for spec in specs:
+        if not spec.is_good(p, table):
+            raise ValueError(f"{spec} has bad reduction at {p}")
+        tm = reduce_mod(spec.t, p)
+        if spec.d == -4:
+            rows.append((1, 0, -tm, 0))
+        elif spec.d == -3:
+            rows.append((1, 0, 0, 16 * tm))
+        else:
+            b2, b4, b6 = (table or default_table())[spec.d].b_invariants()
+            # complete the square: counting y² = 4x³+b2x²+2b4x+b6 matches the model;
+            # the twist by s multiplies the cubic through by s (s·y² = g ~ y² = s·g up to squares)
+            s = -tm if spec.d == -7 else tm
+            rows.append((4 * s, b2 * s, 2 * b4 * s, b6 * s))
+    return _count_cubic(rows, p)
 
 
 def ap_naive(spec: CurveSpec, p: int, table: dict[int, CurveModel] | None = None) -> int:
     """Frobenius trace by direct point count — the slow, assumption-free route."""
-    if not spec.is_good(p, table):
-        raise ValueError(f"{spec} has bad reduction at {p}")
-    tm = reduce_mod(spec.t, p)
-    if spec.d == -4:
-        return _count_cubic(1, 0, -tm, 0, p)
-    if spec.d == -3:
-        return _count_cubic(1, 0, 0, 16 * tm, p)
-    model = (table or default_table())[spec.d]
-    b2, b4, b6 = model.b_invariants()
-    # complete the square: counting y² = 4x³+b2x²+2b4x+b6 matches the model;
-    # the twist by s multiplies the cubic through by s (s·y² = g ~ y² = s·g up to squares)
-    s = -tm if spec.d == -7 else tm
-    return _count_cubic(4 * s, b2 * s, 2 * b4 * s, b6 * s, p)
+    return int(naive_traces([spec], p, table)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .curves import CurveModel, CurveSpec, ap_naive, unit_count
+from .curves import _NAIVE_LIMIT, CurveModel, CurveSpec, naive_traces, unit_count
 from .engine import (
     P_LIMIT,
     Segment,
@@ -615,11 +615,28 @@ class _Recorder:
 
 _W2_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
 _QUARTIC_TWISTS = (1, 2, -2, 3, 6, -8)
+ORACLE_BOUND = 20_000  # trace-oracle's default: the split p it point-counts
 
 # A suite is a per-segment check fn(seg, rec, ds, ts, oracle_bound, table)
 # over all of its (d, t) cases.  The computed side of each identity is read
 # from the segment's arrays; the claimed side calls the identity's own
 # scalar implementation.
+
+
+def _naive_by_prime(cases, table) -> list[np.ndarray]:
+    """``ap_naive(spec, p, table)`` at every p of each (spec, ps) case, counted prime-major:
+    one ``naive_traces`` batch per prime for all the cases that reach it."""
+    at: dict[int, list[int]] = {}  # p -> the cases that reach it
+    for c, (_, ps) in enumerate(cases):
+        for p in ps.tolist():
+            at.setdefault(p, []).append(c)
+    out = [np.empty(len(ps), dtype=np.int64) for _, ps in cases]
+    filled = [0] * len(cases)  # each case's ps ascend, and so do the primes below
+    for p in sorted(at):
+        for c, a in zip(at[p], naive_traces([cases[c][0] for c in at[p]], p, table).tolist()):
+            out[c][filled[c]] = a
+            filled[c] += 1
+    return out
 
 
 def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
@@ -628,12 +645,15 @@ def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
     The left side is the naive count (independent of the twist bookkeeping in
     the traces), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
     """
-    for c, (d, t) in enumerate(product(ds, ts)):
+    cases, rhs = [], []
+    for d, t in product(ds, ts):
         spec = CurveSpec(d, t)
         ps, a = seg.good_traces(CurveSpec(d), table)
         good = mod_array(spec.bad_product(table), ps) != 0
-        ps, rhs = ps[good], legendre_array(t.numerator * t.denominator, ps[good]) * a[good]
-        rec.check(c, ps, rhs, [ap_naive(spec, p, table) for p in ps.tolist()])
+        cases.append((spec, ps[good]))
+        rhs.append(legendre_array(t.numerator * t.denominator, ps[good]) * a[good])
+    for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases, table))):
+        rec.check(c, ps, expected, naive)
 
 
 def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
@@ -643,13 +663,14 @@ def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
     every split p it must be even, nonzero, and satisfy the norm equation
     p = (a_p/2)² + b² exactly.  Inert p must give 0.
     """
-    for c, t in enumerate(ts):
-        spec = CurveSpec(-4, t)
-        ps, a = seg.good_traces(spec, table)
+    specs = [CurveSpec(-4, t) for t in ts]
+    traces = [seg.good_traces(spec, table) for spec in specs]
+    lows = [(ps % 4 == 1) & (ps <= oracle_bound) for ps, _ in traces]
+    naive = _naive_by_prime([(spec, ps[low]) for spec, (ps, _), low in zip(specs, traces, lows)], table)
+    for c, ((ps, a), low, counted) in enumerate(zip(traces, lows, naive)):
         split = ps % 4 == 1
         rec.check(c, ps[~split], 0, a[~split])
-        low = split & (ps <= oracle_bound)
-        rec.check(c, ps[low], [ap_naive(spec, p, table) for p in ps[low].tolist()], a[low])
+        rec.check(c, ps[low], counted, a[low])
         q, aq = ps[split & ~low], a[split & ~low]
         rem = q - (np.abs(aq) // 2) ** 2
         square = isqrt_array(np.maximum(rem, 0)) ** 2 == rem
@@ -797,19 +818,32 @@ def verify_suite(
     ds=None,
     ts=None,
     p_max: int = 100_000,
-    oracle_bound: int = 20_000,
+    oracle_bound: int = ORACLE_BOUND,
     table: dict[int, CurveModel] | None = None,
     max_violations: int = _VIOLATION_CAP,
 ) -> SuiteResult:
     """Run one exact per-prime suite; see SUITES for the tokens.
 
     Only the twist and quadratic suites take discriminants; every other suite
-    fixes its own d, and odd-factor and two-factor take no twists.  Passing
-    what a suite cannot honour raises ValueError instead of being ignored,
-    and so does p_max > 2**32, the engine's limit.
+    fixes its own d, odd-factor and two-factor take no twists, and only
+    trace-oracle reads ``oracle_bound``.  Passing what a suite cannot honour
+    raises ValueError instead of being ignored, and so do a negative bound,
+    p_max > 2**32 (the engine's limit) and a range that could need a naive
+    count past ``curves._NAIVE_LIMIT``: twist counts every good p < p_max,
+    trace-oracle the split p <= oracle_bound.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
+    if oracle_bound < 0:
+        raise ValueError(f"oracle_bound must be non-negative, got {oracle_bound}")
+    if name != "trace-oracle" and oracle_bound != ORACLE_BOUND:
+        raise ValueError(f"suite {name!r} takes no oracle bound; only trace-oracle reads one")
+    naive_max = {"twist": p_max - 1, "trace-oracle": min(oracle_bound, p_max - 1)}.get(name, 0)
+    if naive_max > _NAIVE_LIMIT:
+        raise ValueError(
+            f"suite {name!r} would count points naively up to p = {naive_max}, "
+            f"past the int64-safe limit {_NAIVE_LIMIT}"
+        )
     check, default_ds, default_ts = SUITES[name]
     if ds is not None and default_ds is None:
         with_ds = tuple(n for n, suite in SUITES.items() if suite[1])

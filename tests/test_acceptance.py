@@ -4,7 +4,7 @@ Each test is one criterion and prints a single summary line.  The slow part
 is a combined 40-item density sweep to 1e7 shared by criteria 7 and 8
 (module-scoped fixture, one sieve pass); everything else runs directly.
 
-Expected wall time for the whole module: about 50 seconds on one core.
+Expected wall time for the whole module: about 50 seconds on a two-core machine.
 
 Criteria
   1. fast a_p routes agree with brute-force point counts, all nine

@@ -7,6 +7,7 @@ subprocess test pins the ``python -m`` entry point.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,6 +294,11 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--set", "mod(8;1)"], "verify does not take --set"),
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--workers", "3"], "verify does not take --workers"),
         (["verify", "--suite", "two-factor", "--pmax", "4294967297"], "limit 2**32"),
+        (["verify", "--suite", "cubic", "--pmax", "2000", "--oracle-bound", "100"], "takes no oracle bound"),
+        (["verify", "--suite", "twist", "--pmax", "2000", "--oracle-bound", "100"], "takes no oracle bound"),
+        (["verify", "--suite", "trace-oracle", "--pmax", "2000", "--oracle-bound", "-5"], "must be non-negative"),
+        (["verify", "--suite", "trace-oracle", "--pmax", "2000004", "--oracle-bound", "3000000"],
+         "int64-safe limit"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):
@@ -300,6 +306,38 @@ def test_usage_errors(capsys, argv, fragment):
     assert code == 2
     assert fragment in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, text, fragment",
+    [
+        (["verify", "--suite", "cubic"], "oracle-bound = 100\n", "takes no oracle bound"),
+        (["verify", "--suite", "twist"], "oracle-bound = 20000\n", "takes no oracle bound"),
+        (["verify", "--suite", "trace-oracle"], "oracle-bound = -5\n", "must be non-negative"),
+    ],
+)
+def test_oracle_bound_config_key(tmp_path, capsys, command, text, fragment):
+    # the config key is held to the flag's rules
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pmax = 2000\n" + text)
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "twist", "--pmax", "2000002"),
+        ("--suite", "trace-oracle", "--pmax", "2000002", "--oracle-bound", "2000001"),
+    ],
+)
+def test_naive_limit_rejected_before_the_scan(capsys, argv):
+    # the first prime past the limit is 2000003; the range is refused before any counting
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "int64-safe limit 2000000" in err
 
 
 def _twisted_table_file(tmp_path):

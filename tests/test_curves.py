@@ -18,6 +18,7 @@ from cmresidues.curves import (
     ApRecord,
     CurveModel,
     CurveSpec,
+    _NAIVE_BLOCK,
     _count_cubic,
     _chi_table,
     ap,
@@ -28,6 +29,7 @@ from cmresidues.curves import (
     default_table,
     load_curve_table,
     model_twist,
+    naive_traces,
     unit_count,
 )
 from cmresidues.primes import jacobi, order_dividing, primes_in_range
@@ -286,14 +288,77 @@ def test_non_twist_model_rejected():
 def test_naive_count_limit_edge():
     # 1999993 is the largest prime <= 2·10⁶, 2000003 the next one
     spec = CurveSpec(-4, 1)
+    batch = [spec, CurveSpec(-3, 2), CurveSpec(-163, Fraction(-3, 4))]
     try:
         assert ap_naive(spec, 1_999_993) == ap(spec, 1_999_993).ap
+        assert naive_traces(batch, 1_999_993).tolist() == [ap(s, 1_999_993).ap for s in batch]
     finally:
         _chi_table.cache_clear()
     with pytest.raises(ValueError, match="int64-safe limit"):
         ap_naive(spec, 2_000_003)
     with pytest.raises(ValueError, match="int64-safe limit"):
-        _count_cubic(1, 0, -1, 0, 2_000_003)
+        naive_traces(batch, 2_000_003)
+    with pytest.raises(ValueError, match="int64-safe limit"):
+        _count_cubic([(1, 0, -1, 0)], 2_000_003)
+
+
+# ---------------------------------------------------------------------------
+# The batched naive count
+
+
+def _euler(v: int, p: int) -> int:
+    v %= p
+    return 0 if v == 0 else (1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+
+
+def _count_by_hand(spec, p, table):
+    """-Σ_x (f(x)/p) for the family's own cubic, in plain Python: x³ - tx, x³ + 16t, or
+    s·D(x) with D the discriminant in y of the table's Weierstrass model (s = -t or t)."""
+    t = spec.t.numerator * pow(spec.t.denominator, -1, p)
+    m, s = table[spec.d], -t if spec.d == -7 else t
+    total = 0
+    for x in range(p):
+        if spec.d == -4:
+            fx = x**3 - t * x
+        elif spec.d == -3:
+            fx = x**3 + 16 * t
+        else:
+            fx = s * ((m.a1 * x + m.a3) ** 2 + 4 * (x**3 + m.a2 * x**2 + m.a4 * x + m.a6))
+        total -= _euler(fx, p)
+    return total
+
+
+def test_naive_traces_match_a_count_by_hand():
+    # all nine families, five twists, and a twisted table model, in one batch per prime
+    table = dict(default_table())
+    table[-19] = _twisted_model(-19, -3)
+    twists = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 4), Fraction(7, 4))
+    specs = [CurveSpec(d, t) for d in DISCRIMINANTS for t in twists]
+    for p in (5, 11, 13, 17, 29, 37, 41, 43, 67, 101, 163, 389):
+        good = [s for s in specs if s.is_good(p, table)]
+        assert {s.d for s in good} >= {-4, -3, -19}, p
+        assert naive_traces(good, p, table).tolist() == [_count_by_hand(s, p, table) for s in good], p
+
+
+def test_naive_traces_across_block_sizes():
+    # 2**16 // p rows per 2-D pass: all 18 at 1009, 4 (a short last block) at 16381,
+    # 2 below 2**15, 1 above it, and clamped to 1 past 2**16
+    assert _NAIVE_BLOCK == 2**16
+    specs = [CurveSpec(d, t) for d in DISCRIMINANTS for t in (Fraction(1), Fraction(-3, 4))]
+    try:
+        for p in (1009, 16_381, 32_749, 32_771, 65_521, 65_537, 262_147):
+            good = [s for s in specs if s.is_good(p)]
+            assert len(good) == len(specs)
+            assert naive_traces(good, p).tolist() == [ap_naive(s, p) for s in good], p
+    finally:
+        _chi_table.cache_clear()
+
+
+def test_naive_traces_bad_reduction_in_batch():
+    # CurveSpec(-8, 3) is bad at 3; its neighbours are good there
+    with pytest.raises(ValueError, match="bad reduction"):
+        naive_traces([CurveSpec(-7, 1), CurveSpec(-8, 3), CurveSpec(-4, 2)], 3)
+    assert naive_traces([], 7).tolist() == []
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,22 @@ def test_verify_suite_restrictions_and_errors():
         verify_suite("odd-factor", ts=[3], p_max=2_000)
 
 
+def test_oracle_bound_and_naive_limit_checked_up_front():
+    with pytest.raises(ValueError, match="takes no oracle bound"):
+        verify_suite("cubic", oracle_bound=100, p_max=2_000)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        verify_suite("trace-oracle", oracle_bound=-5, p_max=2_000)
+    # twist counts every good p < p_max, trace-oracle the split p up to its bound
+    with pytest.raises(ValueError, match="int64-safe limit"):
+        verify_suite("twist", p_max=2_000_002)
+    with pytest.raises(ValueError, match="int64-safe limit"):
+        verify_suite("trace-oracle", oracle_bound=2_000_001, p_max=2_000_002)
+    res = verify_suite("trace-oracle", oracle_bound=3_000_000, p_max=2_000)
+    assert res.ok() and res.params["oracle_bound"] == 3_000_000
+    # a zero bound leaves the structure checks only
+    assert verify_suite("trace-oracle", oracle_bound=0, p_max=2_000).checked == res.checked
+
+
 def test_empty_suite_is_not_a_pass():
     res = verify_suite("odd-factor", p_max=5)
     assert res.checked == 0 and res.violations == []
