@@ -171,7 +171,7 @@ def default_table() -> dict[int, CurveModel]:
 # Naive point counts (the oracle route)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)  # callers count one prime for many curves, then move on
 def _chi_table(p: int) -> np.ndarray:
     """chi[v] = quadratic character of v mod p (0 at 0), as int8."""
     xs = np.arange(p, dtype=np.int64)

@@ -288,9 +288,11 @@ def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
-    Sieve, norm form and trace run once per (d, t) group; the eligible set
-    of each item is one mask (good, split, ≡ 1 mod every modulus, in
-    ``extra``), and the order of the m-class once per (group, m).
+    Sieve, norm form and trace run once per (d, t) group, the trace only at
+    primes ≡ 1 mod the gcd of its items' lcm(moduli), where every eligible
+    set lies; the eligible set of each item is one mask (good, split, ≡ 1
+    mod every modulus, in ``extra``), and the orders of all the group's
+    moduli take one modular power per prime that some item tallies.
     """
     items, table = plan
     seg = Segment(*bounds)
@@ -300,17 +302,19 @@ def _scan_chunk(plan, bounds):
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
     for spec, idxs in groups.items():
-        ps, a = seg.traces(spec, table)
-        orders: dict[int, np.ndarray] = {}
-        for i in idxs:
-            it = items[i]
-            keep = (ps - 1) % math.lcm(*it.moduli) == 0
+        group = [items[i] for i in idxs]
+        lcms = [math.lcm(*it.moduli) for it in group]
+        ps, a = seg.traces(spec, table, math.gcd(*lcms))
+        keeps = [(ps - 1) % L == 0 for L in lcms]
+        for keep, it in zip(keeps, group):
             if it.extra is not None:
                 keep &= set_mask(it.extra, ps, seg)
+        some = np.logical_or.reduce(keeps)
+        orders = residue_orders(a[some], ps[some], sorted({m for it in group for m in it.moduli}))
+        for i, it, keep in zip(idxs, group, keeps):
+            keep = keep[some]
             totals[i] = int(keep.sum())
             for m in it.moduli:
-                if m not in orders:
-                    orders[m] = residue_orders(a, ps, m)
                 counts = np.bincount(orders[m][keep], minlength=m + 1).tolist()
                 tallies[i][m] = {n: c for n, c in enumerate(counts) if c}
     return totals, tallies
@@ -691,7 +695,7 @@ def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
         else:
             quartic_d = pow_array(mod_array(d, ps), (ps - 1) // 4, ps) == 1
             expected = np.where(ps % 4 == 1, np.where(quartic_d, 1, -1), minus_t)
-        rec.check(c, ps, expected, np.where(residue_orders(a, ps, 2) == 1, 1, -1))
+        rec.check(c, ps, expected, np.where(residue_orders(a, ps, (2,))[2] == 1, 1, -1))
 
 
 def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVENTION):
@@ -729,7 +733,7 @@ def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     for c, t in enumerate(ts):
         ps, a = seg.traces(CurveSpec(-3, t), table)
         rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
-        rec.check(c, ps, rhs, residue_orders(a, ps, 6) == 1)
+        rec.check(c, ps, rhs, residue_orders(a, ps, (6,))[6] == 1)
 
 
 def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):

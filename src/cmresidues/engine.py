@@ -10,15 +10,19 @@ work at all:
 * sieve: ``primes.prime_array`` lists the primes of the segment;
 * norm form: ``Segment.form`` walks the lattice points of p = x² + y²,
   x² + 3y², x² + 2y² or 4p = u² + |d|v² over the segment, in blocks of
-  ``_BLOCK`` points and only through the admissible parity, and keeps the
-  prime values; the primary divisors in Z[i] and Z[ω] follow from them;
+  ``_BLOCK`` points and only through the admissible parity, keeps the
+  prime values and sorts them by p once; the primary divisors in Z[i]
+  and Z[ω] follow from them;
 * trace: ``Segment.traces`` evaluates a_p by the closed forms of
   ``curves.ap`` — quadratic characters by Euler's criterion, the quartic
   and cubic characters by comparing v·b with ∓a mod p (so no modular
   inverse: ``symbol_exponents``), and Legendre tables mod |d| and mod 8
-  for the base traces;
+  for the base traces — at the primes ≡ 1 mod a given modulus only;
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
-* order: ``residue_orders`` by square-and-multiply.
+* order: ``residue_orders`` takes one modular power per prime for every
+  modulus, w = a^((p-1)/g) with g = gcd(p - 1, lcm of the moduli), and
+  reads each m-class a^((p-1)/m) = w^(g/m) off the order of w, which
+  ``order_array`` finds by powers to the divisors of the lcm.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``).
@@ -29,7 +33,7 @@ tested against prime by prime.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -95,12 +99,25 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
     return order
 
 
-def residue_orders(a: np.ndarray, ps: np.ndarray, m: int) -> np.ndarray:
-    """Order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m); 0 elsewhere."""
-    out = np.zeros(len(ps), dtype=np.int64)
-    sel = (ps - 1) % m == 0
+def residue_orders(a: np.ndarray, ps: np.ndarray, moduli) -> dict[int, np.ndarray]:
+    """m -> order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m),
+    0 elsewhere, for every m in moduli.
+
+    One modular power per prime for all of them: with M = lcm(moduli) and
+    g = gcd(p - 1, M), w = a^((p-1)/g) has order dividing g, and for m | g
+    a^((p-1)/m) = w^(g/m) has order ord(w)/gcd(ord(w), g/m).
+    """
+    M = lcm(*moduli)
+    g = np.gcd(ps - 1, M)
+    sel = np.logical_or.reduce([g % m == 0 for m in moduli])  # some m divides p - 1
     q = ps[sel]
-    out[sel] = order_array(pow_array(a[sel] % q, (q - 1) // m, q), m, q)
+    order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
+    order[sel] = order_array(pow_array(a[sel] % q, (q - 1) // g[sel], q), M, q)
+    out = {}
+    for m in moduli:
+        at = g % m == 0
+        out[m] = np.zeros(len(ps), dtype=np.int64)
+        out[m][at] = order[at] // np.gcd(order[at], g[at] // m)
     return out
 
 
@@ -188,8 +205,7 @@ class Segment:
         ys, x0, counts = ys[rows], x0[rows], counts[rows]
         starts = np.cumsum(counts) - counts  # index of the first point of each row
         total = int(counts.sum())
-        x_of = np.zeros(len(self.primes), dtype=np.int64)  # solution at each prime, 0 if inert
-        y_of = np.zeros_like(x_of)
+        hits = [(np.empty(0, dtype=np.int64),) * 3]  # (p, x, y) of the prime values, block by block
         for k0 in range(0, total, _BLOCK):
             k = np.arange(k0, min(k0 + _BLOCK, total), dtype=np.int64)
             row = np.searchsorted(starts, k, side="right") - 1
@@ -197,21 +213,23 @@ class Segment:
             y = ys[row]
             p = (x * x + D * y * y) // scale
             prime = self._is_prime[p - self.lo]
-            at = np.searchsorted(self.primes, p[prime])
-            x_of[at], y_of[at] = x[prime], y[prime]
-        split = x_of > 0
-        self._forms[d] = out = (self.primes[split], x_of[split], y_of[split])
+            hits.append((p[prime], x[prime], y[prime]))
+        p, x, y = (np.concatenate(c) for c in zip(*hits))
+        by_p = np.argsort(p)  # one solution per split prime, so p has no repeats
+        self._forms[d] = out = (p[by_p], x[by_p], y[by_p])
         return out
 
     def traces(
-        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None
+        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None, modulus: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(p, a_p) at every good prime of E_t split in d, increasing in p (cf. ``curves.ap``)."""
+        """(p, a_p) at every good prime p ≡ 1 (mod modulus) of E_t split in d, increasing
+        in p (cf. ``curves.ap``); the other primes cost no modular power."""
         d, t = spec.d, spec.t
         twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1
         ps, x, y = self.form(d)
-        good = mod_array(spec.bad_product(table), ps) != 0
-        ps, x, y = ps[good], x[good], y[good]
+        keep = (ps - 1) % modulus == 0
+        keep[keep] = mod_array(spec.bad_product(table), ps[keep]) != 0
+        ps, x, y = ps[keep], x[keep], y[keep]
         tn, td = t.numerator, t.denominator
         if d == -4:
             a, b = _gaussian_primary(x, y)
@@ -264,7 +282,7 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
         m, t = expr.m, expr.t
         tm = mod_array(t.numerator * t.denominator ** (m - 1), ps)  # t ≡ num·den^(m-1) mod m-th powers
         out = tm != 0
-        out[out] = residue_orders(tm[out], ps[out], m) == expr.n  # 0 at p ≢ 1 (mod m), and n >= 1
+        out[out] = residue_orders(tm[out], ps[out], (m,))[m] == expr.n  # 0 at p ≢ 1 (mod m), and n >= 1
         return out
     if isinstance(expr, G8):
         out = ps % 8 == 1

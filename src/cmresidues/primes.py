@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -173,13 +174,48 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# ψ_k, the least strong pseudoprime to all of the first k prime bases (k = 1…12)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+
+
+def is_prime(n: int) -> bool:
+    """Miller--Rabin to the first k prime bases, k the least with n < ψ_k: exact
+    for n < ψ_12 ≈ 3.2·10²³, a strong probable-prime test to twelve bases above."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def cornacchia(D: int, p: int) -> tuple[int, int]:
     """Minimal-machinery Cornacchia: p = x² + D y² with x, y >= 0, D ∈ {1, 2, 3}.
 
     Tries both square roots of -D; for prime p one of them yields the
     (essentially unique, D > 1) representation, which exists whenever -D is
-    a square mod p, as these forms have class number one.
+    a square mod p, as these forms have class number one.  Raises
+    ValueError for a p that is not prime, even one the form represents.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == D:
         return 0, 1
     r0 = sqrt_mod(-D, p)  # raises if -D is a non-residue
@@ -199,8 +235,11 @@ def cornacchia_4p(D: int, p: int) -> tuple[int, int]:
     """Solve 4p = u² + |D| v² with u, v > 0 for odd D < 0 (|D| < 4p).
 
     The classical modified algorithm: root of D mod p with the parity of D,
-    then the Euclidean walk down to 2√p.
+    then the Euclidean walk down to 2√p.  Raises ValueError for a p that is
+    not prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = -D
     x0 = sqrt_mod(D, p)
     if x0 % 2 != n % 2:

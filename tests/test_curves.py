@@ -9,6 +9,7 @@ supersingularity structure.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from sympy import factorint
@@ -32,9 +33,12 @@ from cmresidues.curves import (
     naive_traces,
     unit_count,
 )
+from cmresidues.eisenstein import split_prime_eis
+from cmresidues.gaussian import split_prime
 from cmresidues.primes import jacobi, order_dividing, primes_in_range
 
 SMALL_PRIMES = list(primes_in_range(3, 400))
+PRIMES_BELOW_3000 = set(primes_in_range(2, 3000))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +113,21 @@ def test_cornacchia_rejects_nonsplit():
         cornacchia(1, 7)  # -1 non-residue mod 7
     with pytest.raises(ValueError):
         cornacchia_4p(-7, 5)  # -7 non-residue mod 5
+
+
+def test_norm_equations_reject_every_non_prime():
+    # the forms represent composites too (703 = 19·37 = 26² + 3·3², 4·207 = 17² + 11·7²),
+    # and 1 = 1² + 0²
+    solvers = [partial(cornacchia, D) for D in (1, 2, 3)] + [split_prime, split_prime_eis]
+    solvers += [partial(cornacchia_4p, d) for d in (-7, -11, -19, -43, -67, -163)]
+    for n in range(3000):
+        if n in PRIMES_BELOW_3000:
+            continue
+        for route in solvers:
+            with pytest.raises(ValueError, match="not prime|does not split"):
+                route(n)
+    with pytest.raises(ValueError, match="not prime"):
+        ap(CurveSpec(-11), 207)  # gave a_207 = 17
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +250,20 @@ def test_closed_forms_match_naive_near_1e6():
     rng = random.Random(2006)
     pool = rng.sample(list(primes_in_range(900_000, 1_000_000)), 64)
     twists = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(7, 4), Fraction(-3, 4))
-    try:
-        for d in DISCRIMINANTS:
-            split = [p for p in pool if jacobi(d, p) == 1]
-            assert len(split) >= 25, d
-            for i, p in enumerate(split):
-                spec = CurveSpec(d, twists[i % len(twists)])
-                assert ap(spec, p).ap == ap_naive(spec, p), (d, spec.t, p)
-    finally:
-        _chi_table.cache_clear()  # 64 tables of ~1 MB each
+    cases = []
+    for d in DISCRIMINANTS:
+        split = [p for p in pool if jacobi(d, p) == 1]
+        assert len(split) >= 25, d
+        cases += [(p, CurveSpec(d, twists[i % len(twists)])) for i, p in enumerate(split)]
+    for p, spec in sorted(cases, key=lambda c: c[0]):  # prime-major: one character table per p
+        assert ap(spec, p).ap == ap_naive(spec, p), (spec.d, spec.t, p)
+
+
+def test_chi_table_keeps_one_table():
+    # a table above 10⁶ is 1 MB, and the prime-major callers never revisit a prime
+    for p in (1_000_003, 1_000_033, 1_000_037):
+        ap_naive(CurveSpec(-4, 1), p)
+    assert _chi_table.cache_info().currsize == 1
 
 
 def _twisted_model(d, D):
@@ -289,11 +313,8 @@ def test_naive_count_limit_edge():
     # 1999993 is the largest prime <= 2·10⁶, 2000003 the next one
     spec = CurveSpec(-4, 1)
     batch = [spec, CurveSpec(-3, 2), CurveSpec(-163, Fraction(-3, 4))]
-    try:
-        assert ap_naive(spec, 1_999_993) == ap(spec, 1_999_993).ap
-        assert naive_traces(batch, 1_999_993).tolist() == [ap(s, 1_999_993).ap for s in batch]
-    finally:
-        _chi_table.cache_clear()
+    assert ap_naive(spec, 1_999_993) == ap(spec, 1_999_993).ap
+    assert naive_traces(batch, 1_999_993).tolist() == [ap(s, 1_999_993).ap for s in batch]
     with pytest.raises(ValueError, match="int64-safe limit"):
         ap_naive(spec, 2_000_003)
     with pytest.raises(ValueError, match="int64-safe limit"):
@@ -345,13 +366,10 @@ def test_naive_traces_across_block_sizes():
     # 2 below 2**15, 1 above it, and clamped to 1 past 2**16
     assert _NAIVE_BLOCK == 2**16
     specs = [CurveSpec(d, t) for d in DISCRIMINANTS for t in (Fraction(1), Fraction(-3, 4))]
-    try:
-        for p in (1009, 16_381, 32_749, 32_771, 65_521, 65_537, 262_147):
-            good = [s for s in specs if s.is_good(p)]
-            assert len(good) == len(specs)
-            assert naive_traces(good, p).tolist() == [ap_naive(s, p) for s in good], p
-    finally:
-        _chi_table.cache_clear()
+    for p in (1009, 16_381, 32_749, 32_771, 65_521, 65_537, 262_147):
+        good = [s for s in specs if s.is_good(p)]
+        assert len(good) == len(specs)
+        assert naive_traces(good, p).tolist() == [ap_naive(s, p) for s in good], p
 
 
 def test_naive_traces_bad_reduction_in_batch():

@@ -110,7 +110,9 @@ def test_split_prime_rejects_inert():
 
 
 def test_non_prime_input_raises():
-    for n in (49, 55):  # an odd square hung the root search; 55 failed an assert
+    # an odd square hung the root search; 55 failed an assert; 703 = 19·37,
+    # 1891 = 31·61 and 2821 = 7·13·31 gave 29 + 6ω and the like, and 1 a unit
+    for n in (49, 55, 703, 1891, 2821, 1):
         with pytest.raises(ValueError, match="not prime"):
             split_prime_eis(n)
     with pytest.raises(ValueError, match="does not divide"):

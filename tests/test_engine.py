@@ -13,12 +13,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmresidues import density
+from cmresidues import density, engine
 from cmresidues.cli import main
 from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
 from cmresidues.density import ScanItem, _scan_chunk, scan_batch
 from cmresidues.eisenstein import cubic_exponent, split_prime_eis
-from cmresidues.engine import P_LIMIT, Segment, mod_array, pow_array, set_mask, symbol_exponents
+from cmresidues.engine import (
+    P_LIMIT,
+    Segment,
+    _form,
+    mod_array,
+    pow_array,
+    residue_orders,
+    set_mask,
+    symbol_exponents,
+)
 from cmresidues.gaussian import quartic_exponent, split_prime
 from cmresidues.prime_sets import QuarticCell, SymOrder, classify, parse_set, quartic_cell_expr
 from cmresidues.primes import jacobi, order_dividing, prime_array, primes_in_range
@@ -85,6 +94,38 @@ def test_mod_and_pow_arrays():
     ]
 
 
+ORDER_MODULI = [(8, 4), (2,), (6, 2, 3), (9, 3), (12, 8, 3), (5, 10)]
+
+
+@pytest.mark.parametrize("bounds", [(2, 30_000), EDGE])
+def test_residue_orders_match_order_dividing(bounds):
+    ps = prime_array(*bounds)
+    rng = np.random.default_rng(2006)
+    a = rng.integers(1, ps) * rng.choice([-1, 1], len(ps))  # signed, as traces are
+    for moduli in ORDER_MODULI:
+        M = math.lcm(*moduli)
+        g = np.gcd(ps - 1, M)
+        assert M == 2 or ((1 < g) & (g < M)).any()  # a power w of order below M, not only M
+        got = residue_orders(a, ps, moduli)
+        assert set(got) == set(moduli)
+        for m in moduli:
+            want = [
+                order_dividing(pow(x, (p - 1) // m, p), m, p) if (p - 1) % m == 0 else 0
+                for x, p in zip(a.tolist(), ps.tolist())
+            ]
+            assert got[m].tolist() == want, (moduli, m)
+
+
+def test_residue_orders_reject_zero():
+    ps = prime_array(2, 200)
+    a = np.ones(len(ps), dtype=np.int64)
+    a[ps == 3] = 3  # ≡ 0 at a prime where no modulus divides p - 1: order 0, no error
+    assert residue_orders(a, ps, (8, 4))[8][ps == 3].tolist() == [0]
+    a[ps == 17] = -17  # ≡ 0 at a selected prime
+    with pytest.raises(ValueError, match="no multiplicative order"):
+        residue_orders(a, ps, (8, 4))
+
+
 # ---------------------------------------------------------------------------
 # Traces and masks, prime by prime
 
@@ -110,6 +151,31 @@ def test_engine_traces_on_twisted_table_models(d):
             spec = CurveSpec(d, t)
             ps, a = seg.traces(spec, table)
             assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000, table), (D, t)
+
+
+def test_traces_filtered_by_modulus():
+    seg = Segment(2, 30_000)
+    for d in DISCRIMINANTS:
+        for t in (Fraction(1), Fraction(-7, 4)):
+            ps, a = seg.traces(CurveSpec(d, t))
+            for L in (1, 3, 4, 8, 9, 24):
+                sel = (ps - 1) % L == 0
+                got = seg.traces(CurveSpec(d, t), modulus=L)
+                assert (got[0].tolist(), got[1].tolist()) == (ps[sel].tolist(), a[sel].tolist()), (d, t, L)
+
+
+@pytest.mark.parametrize("lo", [5, 10**6, P_LIMIT - 250_000])
+def test_form_solves_the_norm_equation(lo):
+    # the solution with x, y > 0 and the parity of _FORMS is unique, so these
+    # checks pin (p, x, y) whichever way the lattice points are collected
+    seg = Segment(lo, lo + 250_000)
+    for d in DISCRIMINANTS:
+        D, scale, _, _, alpha, beta = _form(d)
+        ps, x, y = (arr.tolist() for arr in seg.form(d))
+        assert ps == [p for p in seg.primes.tolist() if jacobi(d, p) == 1], d
+        for p, u, v in zip(ps, x, y):
+            assert u > 0 and v > 0 and u * u + D * v * v == scale * p, (d, p)
+            assert (u - alpha * v - beta) % 2 == 0 and (d != -4 or v % 2 == 0), (d, p)
 
 
 def test_good_traces_are_zero_at_inert_primes():
@@ -175,6 +241,25 @@ def test_scan_chunk_matches_reference_with_a_table():
     items = (ScanItem(-11, Fraction(1), (2, 4)), ScanItem(-11, Fraction(-3, 4), (2,), parse_set("g8(5)")))
     plan = (items, table)
     assert _scan_chunk(plan, (2, 30_000)) == _reference_chunk(plan, (2, 30_000))
+
+
+def test_octic_scan_takes_two_full_powers(monkeypatch):
+    # one power for the trace symbol, one for the orders of both moduli, and
+    # only at p ≡ 1 (mod 8), the one class the item tallies
+    full = []
+
+    def counting_pow(base, exp, ps):
+        if isinstance(exp, np.ndarray):
+            full.append(ps.copy())
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    plan = ((ScanItem(-4, Fraction(3), (8, 4)),), None)
+    totals, _ = _scan_chunk(plan, (10**6, 10**6 + 250_000))
+    assert totals[0] > 0
+    assert len(full) == 2
+    for ps in full:
+        assert len(ps) > 0 and (ps % 8 == 1).all()
 
 
 # ---------------------------------------------------------------------------

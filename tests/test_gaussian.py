@@ -81,8 +81,9 @@ def test_split_prime_rejects_inert():
 
 
 def test_non_prime_input_raises():
-    with pytest.raises(ValueError, match="not prime"):
-        split_prime(169)
+    for n in (169, 1):  # 1 gave the unit 1 + 0i
+        with pytest.raises(ValueError, match="not prime"):
+            split_prime(n)
     with pytest.raises(ValueError, match="does not divide"):
         i_image(GaussInt(3, 2), 17)  # 3+2i divides 13, not 17
 

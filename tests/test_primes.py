@@ -5,6 +5,7 @@ that has an independent implementation there; frozen values for the rest.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cmresidues.primes import (
     PrimeRange,
     euler_phi,
+    is_prime,
     jacobi,
     kfree_reduce,
     order_dividing,
@@ -78,6 +80,19 @@ def test_sqrt_mod_composite_modulus_raises():
     for n in (25, 49, 169):
         with pytest.raises(ValueError, match="not prime"):
             sqrt_mod(-1, n)
+
+
+def test_is_prime_vs_sympy():
+    assert [n for n in range(-3, 30_000) if is_prime(n)] == list(sympy.primerange(30_000))
+    # ψ_1 … ψ_11, the least strong pseudoprimes to the first k prime bases, where
+    # is_prime adds a base; Carmichael numbers; both sides of 2³² and 2⁶⁴
+    hard = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321]
+    hard += [3825123056546413051, 561, 41041, 825265, 2**32 - 5, 2**32 - 1, 2**32 + 15, 2**32 + 1]
+    hard += [2**61 - 1, 2**64 - 59, 2**64 - 1, 2**64 + 13, 2**89 - 1, (2**31 - 1) * (2**61 - 1)]
+    rng = random.Random(2006)
+    hard += [rng.randrange(10**k, 10**(k + 1)) | 1 for k in (6, 9, 12, 15, 18, 21) for _ in range(300)]
+    for n in hard:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_order_dividing_vs_sympy():
