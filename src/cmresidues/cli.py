@@ -41,6 +41,28 @@ class UsageError(Exception):
     pass
 
 
+_SCANS = ("density", "conjecture")
+_ALL = ("verify",) + _SCANS
+
+# name (the flag without "--", also the config key): type, commands that
+# honour it, help; every other command refuses it with exit 2
+_OPTIONS = {
+    "d": (int, _ALL, "field discriminant (one of the nine)"),
+    "t": (parse_rational, _ALL, "twist parameter, rational like 3 or -1/2"),
+    "m": (int, _SCANS, "power-residue symbol modulus"),
+    "n": (int, _SCANS, "restrict to one symbol order n | m"),
+    "set": (str, _SCANS, "conditioning set expression, e.g. 'mod(8;1,5) & symord(2;3;2)'"),
+    "pmax": (int, _ALL, "scan primes p < pmax"),
+    "oracle-bound": (int, ("verify",),
+                     "trace-oracle suite: compare traces with naive counts for p <= this bound"),
+    "workers": (int, _SCANS, "parallel scan processes"),
+    "format": (str, _ALL, "report format, csv or json (verify writes json)"),
+    "out": (str, _ALL, "write report here instead of stdout"),
+    "curve-table": (str, _ALL, "alternate Weierstrass model table (curves.txt format)"),
+    "suite": (str, ("verify",), f"suite name, one of {', '.join(sorted(SUITES))}"),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -48,42 +70,28 @@ class RunConfig:
     t: Fraction | None = None
     m: int | None = None
     n: int | None = None
-    set_expr_text: str | None = None
-    p_max: int = 100_000
+    set: str | None = None
+    pmax: int = 100_000
     oracle_bound: int | None = None
     workers: int | None = None
-    out_format: str = "csv"
-    out_path: str | None = None
+    format: str | None = None
+    out: str | None = None
     curve_table: str | None = None
     suite: str | None = None
 
     def __post_init__(self) -> None:
-        if self.p_max < 5:
-            raise UsageError(f"--pmax must be at least 5, got {self.p_max}")
+        if self.pmax < 5:
+            raise UsageError(f"--pmax must be at least 5, got {self.pmax}")
         if self.workers is not None and self.workers < 1:
             raise UsageError(f"--workers must be positive, got {self.workers}")
-        if self.out_format not in ("csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {self.out_format!r}")
+        if self.format not in (None, "csv", "json"):
+            raise UsageError(f"--format must be csv or json, got {self.format!r}")
+        if self.command == "verify" and self.format == "csv":
+            raise UsageError("verify does not take --format csv: suites write JSON")
         if self.d is not None and self.d not in DISCRIMINANTS:
             raise UsageError(f"--d must be one of {DISCRIMINANTS}, got {self.d}")
         if self.t is not None and self.t == 0:
             raise UsageError("--t must be nonzero")
-
-
-_CONFIG_KEYS = {
-    "d": int,
-    "t": str,
-    "m": int,
-    "n": int,
-    "set": str,
-    "pmax": int,
-    "oracle-bound": int,
-    "workers": int,
-    "format": str,
-    "out": str,
-    "curve-table": str,
-    "suite": str,
-}
 
 
 def read_config_file(path: str) -> dict:
@@ -100,8 +108,8 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {sorted(_CONFIG_KEYS)})")
+        if key not in _OPTIONS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {sorted(_OPTIONS)})")
         out[key] = value
     return out
 
@@ -113,80 +121,40 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact per-prime verification and conditioned density scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d", type=int, default=None, help="field discriminant (one of the nine)")
-        p.add_argument("--t", type=str, default=None, help="twist parameter, rational like 3 or -1/2")
-        p.add_argument("--m", type=int, default=None, help="power-residue symbol modulus")
-        p.add_argument("--n", type=int, default=None, help="restrict to one symbol order n | m")
-        p.add_argument("--set", dest="set_expr", type=str, default=None,
-                       help="conditioning set expression, e.g. 'mod(8;1,5) & symord(2;3;2)'")
-        p.add_argument("--pmax", type=int, default=None, help="scan primes p < pmax")
-        p.add_argument("--workers", type=int, default=None, help="parallel scan processes")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
-        p.add_argument("--out", type=str, default=None, help="write report here instead of stdout")
-        p.add_argument("--curve-table", type=str, default=None,
-                       help="alternate Weierstrass model table (curves.txt format)")
-        p.add_argument("--config", type=str, default=None, help="key = value defaults file")
-
-    pv = sub.add_parser("verify", help="run an exact per-prime identity suite")
-    pv.add_argument("--suite", type=str, default=None,
-                    help=f"suite name, one of {', '.join(sorted(SUITES))}")
-    pv.add_argument("--oracle-bound", type=int, default=None,
-                    help="trace-oracle suite: compare traces with naive counts for p <= this bound")
-    common(pv)
-    pd = sub.add_parser("density", help="order densities of the m-class over a conditioned set")
-    common(pd)
-    pc = sub.add_parser("conjecture", help="scaling-law check: m-scan vs rescaled gcd(m,w)-scan")
-    common(pc)
+    for command, run in _DISPATCH.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for name, (_, commands, text) in _OPTIONS.items():
+            p.add_argument(f"--{name}", help=text if command in commands else argparse.SUPPRESS)
+        p.add_argument("--config", help="key = value defaults file")
     return parser
 
 
-# keys only one side uses: verify runs no scan, the scans run no suite
-_SCAN_ONLY = ("m", "n", "set", "workers")
-_VERIFY_ONLY = ("suite", "oracle-bound")
-
-
 def _merge(args: argparse.Namespace) -> RunConfig:
+    """One RunConfig from flags over config values, each typed by ``_OPTIONS``;
+    an option the command does not honour is refused wherever it is given."""
     file_values = read_config_file(args.config) if args.config else {}
-    unused = _SCAN_ONLY if args.command == "verify" else _VERIFY_ONLY
-    for key in unused:
-        if key in file_values:
-            raise UsageError(f"{args.command} does not take config key {key!r}")
-
-    def pick(flag: str, attr: str, default=None):
-        v = getattr(args, attr, None)
-        if v is not None:
-            return v
-        if flag in file_values:
-            return _CONFIG_KEYS[flag](file_values[flag])
-        return default
-
-    t_text = pick("t", "t")
-    try:
-        t = parse_rational(t_text) if t_text is not None else None
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --t value {t_text!r}: {e}") from None
-    return RunConfig(
-        command=args.command,
-        d=pick("d", "d"),
-        t=t,
-        m=pick("m", "m"),
-        n=pick("n", "n"),
-        set_expr_text=pick("set", "set_expr"),
-        p_max=pick("pmax", "pmax", 100_000),
-        oracle_bound=pick("oracle-bound", "oracle_bound"),
-        workers=pick("workers", "workers"),
-        out_format=pick("format", "format", "csv"),
-        out_path=pick("out", "out"),
-        curve_table=pick("curve-table", "curve_table"),
-        suite=pick("suite", "suite"),
-    )
+    values = {}
+    for name, (kind, commands, _) in _OPTIONS.items():
+        field = name.replace("-", "_")
+        flag = getattr(args, field)
+        if flag is not None:
+            text, where, given = flag, "", f"--{name}"
+        elif name in file_values:
+            text, where, given = file_values[name], f"{args.config}: ", f"config key {name!r}"
+        else:
+            continue
+        if args.command not in commands:
+            raise UsageError(f"{where}{args.command} does not take {given}")
+        try:
+            values[field] = kind(text)
+        except ValueError as e:
+            raise UsageError(f"{where}bad {given} value {text!r}: {e}") from None
+    return RunConfig(command=args.command, **values)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out_path:
-        Path(cfg.out_path).write_text(text)
+    if cfg.out:
+        Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -196,26 +164,21 @@ def _load_table(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """run an exact per-prime identity suite"""
     if not cfg.suite:
         raise UsageError("verify needs --suite; pick from " + ", ".join(sorted(SUITES)))
-    if cfg.suite not in SUITES:
-        raise UsageError(f"unknown suite {cfg.suite!r}; pick from " + ", ".join(sorted(SUITES)))
-    given = {"--m": cfg.m, "--n": cfg.n, "--set": cfg.set_expr_text, "--workers": cfg.workers}
-    unused = [flag for flag, value in given.items() if value is not None]
-    if unused:
-        raise UsageError(f"verify does not take {', '.join(unused)}: suites run no scan")
     if cfg.oracle_bound is not None and cfg.suite != "trace-oracle":
         raise UsageError(f"suite {cfg.suite!r} takes no oracle bound; only trace-oracle reads --oracle-bound")
     res = verify_suite(
         cfg.suite,
         ds=[cfg.d] if cfg.d is not None else None,
         ts=[cfg.t] if cfg.t is not None else None,
-        p_max=cfg.p_max,
+        p_max=cfg.pmax,
         oracle_bound=ORACLE_BOUND if cfg.oracle_bound is None else cfg.oracle_bound,
         table=_load_table(cfg),
     )
     payload = {
-        "meta": base_meta(cfg.p_max),
+        "meta": base_meta(cfg.pmax),
         "suite": res.suite,
         "params": res.params,
         "checked": res.checked,
@@ -224,12 +187,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
     _emit(json.dumps(payload, indent=2) + "\n", cfg)
     return 0 if res.ok() else 1
-
-
-def _parsed_set(cfg: RunConfig):
-    if cfg.set_expr_text is None:
-        return None
-    return parse_set(cfg.set_expr_text)
 
 
 def _cmd_scan(cfg: RunConfig, make_report) -> int:
@@ -241,21 +198,23 @@ def _cmd_scan(cfg: RunConfig, make_report) -> int:
         cfg.d,
         cfg.t if cfg.t is not None else Fraction(1),
         cfg.m,
-        set_expr=_parsed_set(cfg),
+        set_expr=parse_set(cfg.set) if cfg.set is not None else None,
         orders=[cfg.n] if cfg.n is not None else None,
-        p_max=cfg.p_max,
+        p_max=cfg.pmax,
         workers=cfg.workers or 1,
         table=_load_table(cfg),
     )
-    _emit(report.to_csv() if cfg.out_format == "csv" else report.to_json(), cfg)
+    _emit(report.to_json() if cfg.format == "json" else report.to_csv(), cfg)
     return 0 if report.all_pass() else 1
 
 
 def cmd_density(cfg: RunConfig) -> int:
+    """order densities of the m-class over a conditioned set"""
     return _cmd_scan(cfg, density_report)
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
+    """scaling-law check: m-scan vs rescaled gcd(m,w)-scan"""
     return _cmd_scan(cfg, conjecture_report)
 
 

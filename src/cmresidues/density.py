@@ -52,7 +52,6 @@ from .eisenstein import PRIMARY_CONVENTION
 from .gaussian import GaussInt, closed_form_odd_factor, closed_form_trace_symbol, closed_form_two
 from .prime_sets import CongMod, QuarticCell, SetExpr, quartic_cell, quartic_cell_expr
 from .primes import (
-    PrimeRange,
     Rational,
     _divisors,
     euler_phi,
@@ -278,11 +277,14 @@ class ItemResult:
 
 
 def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
-    """The segment cut of [p_min, p_max) every ``_CHUNK`` integers; the engine's
-    residues are uint64, so p_max may be at most 2**32 (ValueError otherwise)."""
+    """The segment cut of [p_min, p_max) every ``_CHUNK`` integers, a pure
+    function of the range; ValueError for a bad range or p_max past 2**32
+    (the engine's residues are uint64)."""
+    if p_min < 0 or p_max < p_min:
+        raise ValueError(f"bad prime range {p_min}..{p_max}")
     if p_max > P_LIMIT:
         raise ValueError(f"p_max = {p_max} is past the engine's limit 2**32 (uint64 products)")
-    return PrimeRange(p_min, p_max, _CHUNK).segments()
+    return [(lo, min(lo + _CHUNK, p_max)) for lo in range(p_min, p_max, _CHUNK)]
 
 
 def _scan_chunk(plan, bounds):
@@ -320,18 +322,6 @@ def _scan_chunk(plan, bounds):
     return totals, tallies
 
 
-_WORKER_PLAN = None
-
-
-def _init_worker(plan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
-def _scan_chunk_in_worker(bounds):
-    return _scan_chunk(_WORKER_PLAN, bounds)
-
-
 def scan_batch(
     items,
     p_max: int,
@@ -349,14 +339,13 @@ def scan_batch(
     p_max may be at most 2**32 (ValueError otherwise).
     """
     items = tuple(items)
-    plan = (items, table)
+    scan = partial(_scan_chunk, (items, table))
     segments = _segments(p_min, p_max)
     if workers <= 1 or len(segments) <= 1:
-        parts = [_scan_chunk(plan, seg) for seg in segments]
+        parts = list(map(scan, segments))
     else:
-        ctx = get_context("fork")
-        with ctx.Pool(min(workers, len(segments)), initializer=_init_worker, initargs=(plan,)) as pool:
-            parts = list(pool.imap(_scan_chunk_in_worker, segments, chunksize=1))
+        with get_context("fork").Pool(min(workers, len(segments))) as pool:
+            parts = list(pool.imap(scan, segments, chunksize=1))
     results = [
         ItemResult(item, p_max, 0, {m: {} for m in item.moduli}) for item in items
     ]

@@ -23,7 +23,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -75,35 +74,6 @@ def primes_in_range(lo: int, hi: int, *, chunk: int = _SIEVE_CHUNK):
     in windows of 2·chunk integers."""
     for seg_lo in range(max(lo, 2), hi, 2 * chunk):
         yield from prime_array(seg_lo, min(seg_lo + 2 * chunk, hi)).tolist()
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """Half-open prime range [lo, hi), partitionable into aligned segments.
-
-    Segment boundaries depend only on (lo, hi, chunk), never on the worker
-    count, which is what makes scan output order reproducible.
-    """
-
-    lo: int
-    hi: int
-    chunk: int = 250_000
-
-    def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo or self.chunk <= 0:
-            raise ValueError(f"bad prime range {self.lo}..{self.hi}/{self.chunk}")
-
-    def segments(self) -> list[tuple[int, int]]:
-        out = []
-        lo = self.lo
-        while lo < self.hi:
-            hi = min(lo + self.chunk, self.hi)
-            out.append((lo, hi))
-            lo = hi
-        return out
-
-    def __iter__(self):
-        return primes_in_range(self.lo, self.hi)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -5,13 +5,14 @@ subprocess test pins the ``python -m`` entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from cmresidues.cli import main, read_config_file
+from cmresidues.cli import _DISPATCH, _OPTIONS, main, read_config_file
 from cmresidues.curves import CurveModel, default_table
 
 
@@ -230,6 +231,7 @@ def test_read_config_file_direct(tmp_path):
     [
         ("pmax 10000\n", "expected 'key = value'"),
         ("primes = 10\n", "unknown key"),
+        ("pmax = abc\n", "bad.cfg: bad config key 'pmax' value 'abc'"),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, text, fragment):
@@ -258,6 +260,41 @@ def test_config_keys_a_command_cannot_honour(tmp_path, capsys, command, text):
     code, out, err = run(capsys, *command, "--config", str(cfg))
     assert code == 2 and out == ""
     assert f"{command[0]} does not take config key {text.split(' =')[0]!r}" in err
+
+
+def test_verify_takes_format_json(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "two-factor", "--pmax", "200", "--format", "json")
+    assert code == 0 and json.loads(out)["suite"] == "two-factor"
+
+
+_REFUSED = [
+    (command, name)
+    for name, (_, commands, _) in _OPTIONS.items()
+    for command in _DISPATCH
+    if command not in commands
+]
+
+
+@pytest.mark.parametrize("command, name", _REFUSED)
+def test_every_refused_option_exits_2(tmp_path, capsys, command, name):
+    # flag and config key alike, for every option a command does not honour
+    code, out, err = run(capsys, command, f"--{name}", "1")
+    assert code == 2 and out == ""
+    assert f"{command} does not take --{name}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = 1\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{command} does not take config key {name!r}" in err
+
+
+@pytest.mark.parametrize("command", list(_DISPATCH))
+def test_help_lists_exactly_the_honoured_options(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    honoured = {f"--{name}" for name, (_, commands, _) in _OPTIONS.items() if command in commands}
+    assert listed == honoured | {"--config", "--help"}
 
 
 def test_config_file_missing(capsys):
@@ -299,6 +336,7 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "trace-oracle", "--pmax", "2000", "--oracle-bound", "-5"], "must be non-negative"),
         (["verify", "--suite", "trace-oracle", "--pmax", "2000004", "--oracle-bound", "3000000"],
          "int64-safe limit"),
+        (["verify", "--suite", "two-factor", "--pmax", "200", "--format", "csv"], "verify does not take --format csv"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):
@@ -314,6 +352,7 @@ def test_usage_errors(capsys, argv, fragment):
         (["verify", "--suite", "cubic"], "oracle-bound = 100\n", "takes no oracle bound"),
         (["verify", "--suite", "twist"], "oracle-bound = 20000\n", "takes no oracle bound"),
         (["verify", "--suite", "trace-oracle"], "oracle-bound = -5\n", "must be non-negative"),
+        (["verify", "--suite", "two-factor"], "format = csv\n", "verify does not take --format csv"),
     ],
 )
 def test_oracle_bound_config_key(tmp_path, capsys, command, text, fragment):

@@ -285,9 +285,8 @@ def test_pool_has_no_more_workers_than_segments(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, size, initializer, initargs):
+        def __init__(self, size):
             sizes.append(size)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -298,7 +297,6 @@ def test_pool_has_no_more_workers_than_segments(monkeypatch):
         def imap(self, fn, args, chunksize):
             return map(fn, args)
 
-    monkeypatch.setattr(density, "_WORKER_PLAN", None)
     monkeypatch.setattr(density, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool))
     pooled = density_report(-7, 1, 2, p_max=10**6, workers=8)
     assert sizes == [4]

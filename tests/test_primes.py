@@ -13,8 +13,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmresidues.density import _segments
 from cmresidues.primes import (
-    PrimeRange,
     euler_phi,
     is_prime,
     jacobi,
@@ -38,15 +38,20 @@ def test_prime_count_below_1e6():
 
 
 def test_prime_range_segments_partition():
-    pr = PrimeRange(5, 10**6, chunk=250_000)
-    segs = pr.segments()
+    segs = _segments(5, 10**6)
     assert segs[0][0] == 5 and segs[-1][1] == 10**6
     assert all(a[1] == b[0] for a, b in zip(segs, segs[1:]))
-    # segment boundaries are a pure function of (lo, hi, chunk): workers may
+    # segment boundaries are a pure function of the range: workers may
     # divide them up but can never change them
-    assert segs == PrimeRange(5, 10**6, chunk=250_000).segments()
+    assert segs == _segments(5, 10**6)
     merged = [p for a, b in segs for p in primes_in_range(a, b)]
-    assert merged == list(pr)
+    assert merged == list(primes_in_range(5, 10**6))
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 100), (100, 99)])
+def test_bad_prime_range_raises(lo, hi):
+    with pytest.raises(ValueError, match="bad prime range"):
+        _segments(lo, hi)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**4))
