@@ -55,7 +55,8 @@ _OPTIONS = {
     "pmax": (int, _ALL, "scan primes p < pmax"),
     "oracle-bound": (int, ("verify",),
                      "trace-oracle suite: compare traces with naive counts for p <= this bound"),
-    "workers": (int, _SCANS, "parallel scan processes"),
+    "workers": (int, _SCANS,
+                "scan processes: the calling one plus WORKERS-1 forked children, at most one per segment"),
     "format": (str, _ALL, "report format, csv or json (verify writes json)"),
     "out": (str, _ALL, "write report here instead of stdout"),
     "curve-table": (str, _ALL, "alternate Weierstrass model table (curves.txt format)"),

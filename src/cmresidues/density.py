@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import math
+import signal
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -322,6 +323,66 @@ def _scan_chunk(plan, bounds):
     return totals, tallies
 
 
+def _run_share(fn, share, reader, writer):
+    """A forked child's body: fn over its share of the segments, sent back as
+    one list, or the exception it raised."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    reader.close()  # so a send to a caller that is gone fails instead of blocking
+    try:
+        out = list(map(fn, share))
+    except Exception as exc:
+        out = exc
+    writer.send(out)
+
+
+def _map_segments(fn, segments, workers):
+    """[fn(s) for s in segments] on k = min(workers, len(segments)) processes.
+
+    The caller maps segments[0::k] itself; forked child i maps segments[i::k]
+    and sends back its results, or the exception it raised (raised here), in
+    one message over its own pipe.  Every child is joined before this returns
+    or raises, after ``terminate()`` on a failure, so none outlives the call
+    and ``RUSAGE_CHILDREN`` counts them all.  At k = 1 nothing is forked.
+    """
+    k = min(workers, len(segments))
+    if k <= 1:
+        return list(map(fn, segments))
+    ctx = get_context("fork")
+    children = []
+    try:
+        for i in range(1, k):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_share, args=(fn, segments[i::k], reader, writer), daemon=True)
+            proc.start()
+            writer.close()
+            children.append((proc, reader))
+        shares = [list(map(fn, segments[0::k]))]
+        for i, (proc, reader) in enumerate(children, 1):
+            try:
+                got = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"scan share {i} of {k} (segments {i}::{k}): its process exited "
+                    f"with code {proc.exitcode} without sending a result"
+                ) from None
+            if isinstance(got, BaseException):
+                raise got
+            shares.append(got)
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, reader in children:
+            proc.join()
+            reader.close()
+    out = [None] * len(segments)
+    for i, share in enumerate(shares):
+        out[i::k] = share
+    return out
+
+
 def scan_batch(
     items,
     p_max: int,
@@ -333,19 +394,14 @@ def scan_batch(
     """Tally all items over primes in [p_min, p_max).
 
     Segment boundaries depend only on (p_min, p_max), cut every 250 000
-    integers; merging integer tallies is order-independent, so the result is
-    a pure function of the arguments regardless of `workers`, which starts
-    at most one process per segment.  The engine's residues are uint64, so
-    p_max may be at most 2**32 (ValueError otherwise).
+    integers, and integer tallies merge in segment order, so the result is a
+    pure function of the arguments regardless of `workers`: the caller plus
+    `workers` - 1 forked children, at most one process per segment.  The
+    engine's residues are uint64, so p_max may be at most 2**32 (ValueError
+    otherwise).
     """
     items = tuple(items)
-    scan = partial(_scan_chunk, (items, table))
-    segments = _segments(p_min, p_max)
-    if workers <= 1 or len(segments) <= 1:
-        parts = list(map(scan, segments))
-    else:
-        with get_context("fork").Pool(min(workers, len(segments))) as pool:
-            parts = list(pool.imap(scan, segments, chunksize=1))
+    parts = _map_segments(partial(_scan_chunk, (items, table)), _segments(p_min, p_max), workers)
     results = [
         ItemResult(item, p_max, 0, {m: {} for m in item.moduli}) for item in items
     ]

@@ -22,7 +22,7 @@ work at all:
 * order: ``residue_orders`` takes one modular power per prime for every
   modulus, w = a^((p-1)/g) with g = gcd(p - 1, lcm of the moduli), and
   reads each m-class a^((p-1)/m) = w^(g/m) off the order of w, which
-  ``order_array`` finds by powers to the divisors of the lcm.
+  ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the lcm.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``).
@@ -40,7 +40,7 @@ import numpy as np
 from .curves import CurveModel, CurveSpec, model_twist
 from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
-from .primes import _divisors, jacobi, prime_array
+from .primes import jacobi, prime_array
 
 P_LIMIT = 1 << 32
 _BLOCK = 4096  # lattice points per enumeration block
@@ -89,12 +89,23 @@ def legendre_array(n: int, ps: np.ndarray) -> np.ndarray:
 def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
     """Multiplicative order of v mod p elementwise, given that it divides m.
 
-    Raises ValueError where it does not (v ≡ 0, or v^m ≠ 1), as ``order_dividing`` does.
+    For each prime power ℓ^e ‖ m, u = v^(m/ℓ^e) has the ℓ-part of ord(v) as
+    its order, read off e ℓ-th powers of u; the last of them is v^m.
+    Raises ValueError where v^m ≠ 1 (v ≡ 0 included), as ``order_dividing`` does.
     """
-    order = np.zeros(len(ps), dtype=np.int64)
-    for n in _divisors(m):
-        order[(order == 0) & (pow_array(v, n, ps) == 1)] = n
-    if (order == 0).any():
+    order = np.ones(len(ps), dtype=np.int64)
+    vm, rest = v, m  # vm ends as v^m
+    for ell in range(2, m + 1):
+        e = 0
+        while rest % ell == 0:
+            rest //= ell
+            e += 1
+        if e:
+            vm = v if m == ell**e else pow_array(v, m // ell**e, ps)
+            for _ in range(e):
+                order[vm != 1] *= ell
+                vm = pow_array(vm, ell, ps)
+    if (vm != 1).any():
         raise ValueError(f"order_array: a value has no multiplicative order dividing {m}")
     return order
 

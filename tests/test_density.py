@@ -8,8 +8,12 @@ checked against scans, so a regression in either direction trips a test.
 
 import json
 import math
+import os
+import signal
+import time
 from fractions import Fraction
-from types import SimpleNamespace
+from multiprocessing import active_children
+from multiprocessing.context import ForkProcess
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from cmresidues.density import (
     ScanItem,
     _conditioning_modulus,
     _judge,
+    _map_segments,
     base_meta,
     calibrate_eisenstein,
     cm4_order_densities,
@@ -280,27 +285,86 @@ def test_scan_is_worker_invariant(chunk, monkeypatch):
         assert a.tallies == b.tallies == c.tallies
 
 
-def test_pool_has_no_more_workers_than_segments(monkeypatch):
-    # 10**6 is four segments: eight requested workers start a pool of four
-    sizes = []
+def test_workers_are_the_caller_and_one_child_per_other_segment(monkeypatch, tmp_path):
+    # 10**6 is four segments: eight requested workers are the caller and
+    # three forked children, one segment each
+    single = density_report(-7, 1, 2, p_max=10**6).to_csv()
+    log, scan, start, started = tmp_path / "pids", density._scan_chunk, ForkProcess.start, []
 
-    class InProcessPool:
-        def __init__(self, size):
-            sizes.append(size)
+    def logged_scan(plan, bounds):
+        with open(log, "a") as f:
+            f.write(f"{bounds[0]} {os.getpid()}\n")
+        return scan(plan, bounds)
 
-        def __enter__(self):
-            return self
+    def counted_start(proc):
+        started.append(proc)
+        start(proc)
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, args, chunksize):
-            return map(fn, args)
-
-    monkeypatch.setattr(density, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool))
+    monkeypatch.setattr(density, "_scan_chunk", logged_scan)
+    monkeypatch.setattr(ForkProcess, "start", counted_start)
     pooled = density_report(-7, 1, 2, p_max=10**6, workers=8)
-    assert sizes == [4]
-    assert pooled.to_csv() == density_report(-7, 1, 2, p_max=10**6).to_csv()
+    assert len(started) == 3
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert len(pids) == 4 and len(set(pids.values())) == 4
+    assert pids["5"] == str(os.getpid())  # share 0 is the caller's
+    assert pooled.to_csv() == single
+    assert not active_children()
+
+
+def test_map_segments_keeps_segment_order():
+    got = _map_segments(lambda s: (s, os.getpid()), list(range(7)), 3)
+    assert [s for s, _ in got] == list(range(7))
+    assert [pid == os.getpid() for _, pid in got] == [s % 3 == 0 for s in range(7)]
+    assert len({pid for _, pid in got}) == 3
+    assert not active_children()
+
+
+def test_map_segments_raises_a_childs_exception():
+    def fn(s):
+        if s == 3:
+            raise ValueError(f"bad segment {s}")
+        return s
+
+    with pytest.raises(ValueError, match="bad segment 3"):
+        _map_segments(fn, list(range(4)), 2)
+    assert not active_children()
+
+
+def test_map_segments_names_a_child_that_died():
+    def fn(s):
+        if s == 2:
+            os._exit(3)
+        return s
+
+    with pytest.raises(RuntimeError, match=r"share 2 of 3 \(segments 2::3\).*code 3"):
+        _map_segments(fn, list(range(6)), 3)
+    assert not active_children()
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_map_segments_stops_children_when_the_caller_fails(exc):
+    # the children's shares are far past the 64 KiB pipe buffer, so they are
+    # blocked in send when the caller's own share raises
+    caller = os.getpid()
+
+    def fn(s):
+        if os.getpid() == caller:
+            time.sleep(0.3)
+            raise exc("caller's share")
+        return bytes(1 << 20)
+
+    def expire(*_):  # not an OSError, which multiprocessing's waitpid would swallow
+        pytest.fail("_map_segments is still waiting on a child")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)  # a deadlock fails the test instead of hanging the suite
+    try:
+        with pytest.raises(exc, match="caller's share"):
+            _map_segments(fn, list(range(6)), 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert not active_children()
 
 
 def test_scan_merge_over_split_ranges():

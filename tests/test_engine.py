@@ -23,6 +23,7 @@ from cmresidues.engine import (
     Segment,
     _form,
     mod_array,
+    order_array,
     pow_array,
     residue_orders,
     set_mask,
@@ -124,6 +125,31 @@ def test_residue_orders_reject_zero():
     a[ps == 17] = -17  # ≡ 0 at a selected prime
     with pytest.raises(ValueError, match="no multiplicative order"):
         residue_orders(a, ps, (8, 4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 12, 72])
+def test_order_array_matches_order_dividing(m):
+    ps = prime_array(2, 200_000)
+    ps = ps[(ps - 1) % m == 0]
+    rng = np.random.default_rng(m)
+    v = pow_array(rng.integers(1, ps), (ps - 1) // m, ps)  # v^m = 1
+    want = [order_dividing(x, m, p) for x, p in zip(v.tolist(), ps.tolist())]
+    assert order_array(v, m, ps).tolist() == want
+    assert set(want) == {n for n in range(1, m + 1) if m % n == 0}  # every order occurs
+
+
+def test_order_array_rejects_non_roots():
+    ps = prime_array(3, 2_000)
+    ps = ps[ps % 8 == 1]
+    ones = np.ones(len(ps), dtype=np.int64)
+    for bad in (0, 3):  # 0, and 3 with 3^8 ≠ 1 at every such p > 41
+        v = ones.copy()
+        v[-1] = bad
+        with pytest.raises(ValueError, match="no multiplicative order dividing 8"):
+            order_array(v, 8, ps)
+    with pytest.raises(ValueError, match="dividing 1"):
+        order_array(v, 1, ps)
+    assert order_array(ones, 1, ps).tolist() == ones.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +271,12 @@ def test_scan_chunk_matches_reference_with_a_table():
 
 def test_octic_scan_takes_two_full_powers(monkeypatch):
     # one power for the trace symbol, one for the orders of both moduli, and
-    # only at p ≡ 1 (mod 8), the one class the item tallies
-    full = []
+    # only at p ≡ 1 (mod 8), the one class the item tallies; the order of
+    # w = a^((p-1)/8) then takes three squarings, not powers to 1, 2, 4 and 8
+    full, scalar = [], []
 
     def counting_pow(base, exp, ps):
-        if isinstance(exp, np.ndarray):
-            full.append(ps.copy())
+        (full if isinstance(exp, np.ndarray) else scalar).append((ps.copy(), exp))
         return pow_array(base, exp, ps)
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
@@ -258,7 +284,8 @@ def test_octic_scan_takes_two_full_powers(monkeypatch):
     totals, _ = _scan_chunk(plan, (10**6, 10**6 + 250_000))
     assert totals[0] > 0
     assert len(full) == 2
-    for ps in full:
+    assert [exp for _, exp in scalar] == [2, 2, 2]
+    for ps, _ in full + scalar:
         assert len(ps) > 0 and (ps % 8 == 1).all()
 
 
