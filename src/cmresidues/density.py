@@ -112,8 +112,8 @@ def cm4_order_densities(t: Rational | int, cond_m: int) -> dict[int, Fraction]:
     well-defined on all of C and the dict is {1: δ, 2: 1-δ}.  t is reduced
     mod fourth powers internally (the family only depends on that class).
     """
+    tp = squarefree_part(t)  # of t itself: its fourth-power-free form may be past the factoring limit
     t = kfree_reduce(t, 4)
-    tp = squarefree_part(t)
     if cond_m % 4:
         # quadratic table
         if cond_m % tp == 0:
@@ -318,7 +318,7 @@ def _scan_chunk(plan, bounds):
             keep = keep[some]
             totals[i] = int(keep.sum())
             for m in it.moduli:
-                counts = np.bincount(orders[m][keep], minlength=m + 1).tolist()
+                counts = np.bincount(orders[m][keep]).tolist()
                 tallies[i][m] = {n: c for n, c in enumerate(counts) if c}
     return totals, tallies
 

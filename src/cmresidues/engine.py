@@ -40,7 +40,7 @@ import numpy as np
 from .curves import CurveModel, CurveSpec, model_twist
 from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
-from .primes import jacobi, prime_array
+from .primes import _factorint, jacobi, prime_array
 
 P_LIMIT = 1 << 32
 _BLOCK = 4096  # lattice points per enumeration block
@@ -94,17 +94,12 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
     Raises ValueError where v^m ≠ 1 (v ≡ 0 included), as ``order_dividing`` does.
     """
     order = np.ones(len(ps), dtype=np.int64)
-    vm, rest = v, m  # vm ends as v^m
-    for ell in range(2, m + 1):
-        e = 0
-        while rest % ell == 0:
-            rest //= ell
-            e += 1
-        if e:
-            vm = v if m == ell**e else pow_array(v, m // ell**e, ps)
-            for _ in range(e):
-                order[vm != 1] *= ell
-                vm = pow_array(vm, ell, ps)
+    vm = v  # ends as v^m
+    for ell, e in _factorint(m).items():
+        vm = v if m == ell**e else pow_array(v, m // ell**e, ps)
+        for _ in range(e):
+            order[vm != 1] *= ell
+            vm = pow_array(vm, ell, ps)
     if (vm != 1).any():
         raise ValueError(f"order_array: a value has no multiplicative order dividing {m}")
     return order

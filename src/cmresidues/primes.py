@@ -6,8 +6,10 @@ integer of a segment); ``primes_in_range`` streams its output.  The
 number-theoretic helpers here are deliberately hand-rolled: ``jacobi`` and
 ``sqrt_mod`` sit on the hot path of every per-prime computation and must
 cost microseconds, not library-call overhead.
-Factorisation of *small* integers (normalising twist parameters, Euler phi
-for scaling factors) is delegated to sympy — those are cold paths.
+Factorisation (``_factorint``: twist parameters, moduli and their divisors,
+Euler phi) trial-divides by the sieve's own primes below 10⁶.  Whatever is
+left has no prime factor below 10⁶, so below 10¹⁸ it is 1, q, q² or q·r,
+and ``isqrt`` and ``is_prime`` tell these apart; past that, ValueError.
 
 Conventions used throughout the package:
 
@@ -34,18 +36,6 @@ Rational = Fraction
 _SIEVE_CHUNK = 1 << 20
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    """All primes < limit via a plain boolean sieve (used to seed segments)."""
-    if limit < 3:
-        return np.array([2][: max(0, limit - 2)], dtype=np.int64)
-    mask = np.ones(limit, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
 def prime_array(lo: int, hi: int) -> np.ndarray:
     """Primes p with lo <= p < hi, increasing, as an int64 array.
 
@@ -58,9 +48,7 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     start = lo | 1  # first odd >= lo
     mask = np.ones((hi - start + 1) // 2, dtype=bool)  # odds in [start, hi)
-    for p in _small_primes(isqrt(hi - 1) + 1)[1:].tolist():  # odd sieving primes
-        if p * p >= hi:
-            break
+    for p in prime_array(3, isqrt(hi - 1) + 1).tolist():  # the odd sieving primes
         first = max(p * p, ((start + p - 1) // p) * p)
         if first % 2 == 0:
             first += p
@@ -228,8 +216,11 @@ def cornacchia_4p(D: int, p: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _divisors(m: int) -> tuple[int, ...]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return tuple(out)
+    """The divisors of m >= 1, increasing."""
+    out = [1]
+    for q, e in _factorint(m).items():
+        out = [d * q**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def order_dividing(x: int, m: int, p: int) -> int:
@@ -246,10 +237,39 @@ def order_dividing(x: int, m: int, p: int) -> int:
     raise ValueError(f"order of {x} mod {p} does not divide {m}")
 
 
-def _factorint(n: int) -> dict[int, int]:
-    from sympy import factorint  # deferred: sympy import is slow, path is cold
+_TRIAL = 10**6  # factoring trial-divides by every prime below this
 
-    return dict(factorint(n))
+
+@lru_cache(maxsize=None)
+def _trial_primes(bits: int) -> tuple[int, ...]:
+    """The primes below min(2**bits, 10⁶): all that trial division of an n < 4**bits needs."""
+    return tuple(prime_array(2, min(1 << bits, _TRIAL)).tolist())
+
+
+def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
+    """{q: e} with n = ∏ q^e for n >= 1, q increasing.  Trial division by the primes
+    below 10⁶ leaves a cofactor c with no prime factor below 10⁶, so c < 10¹⁸ is 1,
+    q, q² or q·r; q·r is kept whole, as {q·r: 1}, if ``semiprime_ok``.  Otherwise,
+    and for c >= 10¹⁸, ValueError."""
+    out = {}
+    for q in _trial_primes(isqrt(n).bit_length()):
+        if q * q > n:
+            break  # n is 1 or prime
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out[q] = e
+    else:
+        r = isqrt(n)
+        if n >= _TRIAL**3 or not (r * r == n or semiprime_ok or is_prime(n)):
+            raise ValueError(f"cannot factor {n}: no prime factor below 10⁶, and past 10¹⁸ or two above it")
+        if n > 1 and r * r == n:
+            return out | {r: 2}
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def euler_phi(n: int) -> int:
@@ -291,14 +311,13 @@ def kfree_reduce(t: Rational | int, k: int) -> int:
     t = Fraction(t)
     if t == 0:
         raise ValueError("kfree_reduce: t must be nonzero")
-    # a/b ~ a * b^(k-1) mod k-th powers
-    n = t.numerator * t.denominator ** (k - 1)
-    sign = -1 if n < 0 else 1
-    if sign < 0 and k % 2 == 1:
-        sign = 1  # -1 = (-1)^k is itself a k-th power for odd k
+    sign = -1 if t < 0 and k % 2 == 0 else 1  # -1 = (-1)^k is itself a k-th power for odd k
     out = 1
-    for q, e in _factorint(abs(n)).items():
-        out *= q ** (e % k)
+    # a/b ~ a * b^(k-1) mod k-th powers; a and b are coprime, so each is factored
+    # on its own and a prime-product block q·r stays k-th-power-free
+    for part, power in ((abs(t.numerator), 1), (t.denominator, k - 1)):
+        for q, e in _factorint(part, semiprime_ok=True).items():
+            out *= q ** (e * power % k)
     return sign * out
 
 

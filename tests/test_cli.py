@@ -190,6 +190,19 @@ def test_module_entry_point():
     assert proc.stdout.startswith("d,t,m,n,")
 
 
+def test_reports_do_not_import_sympy():
+    script = (
+        "import sys\n"
+        "from cmresidues.cli import main\n"
+        "assert main(['density', '--d', '-7', '--t', '12/35', '--m', '2', '--pmax', '20000']) == 0\n"
+        "assert main(['conjecture', '--d', '-3', '--t', '2', '--m', '6', '--pmax', '20000']) == 0\n"
+        "print('sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # Config files
 
@@ -337,6 +350,12 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "trace-oracle", "--pmax", "2000004", "--oracle-bound", "3000000"],
          "int64-safe limit"),
         (["verify", "--suite", "two-factor", "--pmax", "200", "--format", "csv"], "verify does not take --format csv"),
+        # past the factoring limit: (3·10²² + 29)(10²² + 9), a prime past 10¹⁸, and
+        # 1000003 · 1000033, which φ and the divisors of m would have to split
+        (["density", "--d", "-7", "--m", "2", "--t", "300000000000000000000560000000000000000000261"],
+         "cannot factor"),
+        (["density", "--d", "-7", "--m", "2", "--t", "1/1000000000000000003"], "cannot factor"),
+        (["density", "--d", "-7", "--m", "1000036000099", "--pmax", "2000"], "cannot factor"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):

@@ -11,6 +11,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 from fractions import Fraction
 from multiprocessing import active_children
 from multiprocessing.context import ForkProcess
@@ -101,6 +102,19 @@ def test_cm4_order_densities_frozen():
     assert cm4_order_densities(2, 2) == {1: F(1), 2: 0}
     assert cm4_order_densities(3, 6) == {1: F(1, 2), 2: F(1, 2)}
     assert cm4_order_densities(5, 2) == {1: F(3, 4), 2: F(1, 4)}
+
+
+def test_tables_reduce_t_itself_within_the_factoring_limit():
+    # t = q/r, q and r primes above 10⁶, is within the factoring limit, but its
+    # fourth-power-free form q·r³ is past 10¹⁸: no table may factor that again
+    F = Fraction
+    t = F(1_000_003, 1_000_033)
+    assert cm4_order_densities(t, 4) == {1: F(3, 8), 2: F(3, 8), 4: F(1, 4)}
+    assert cm4_order_densities(t, 8) == {1: F(1, 2), 2: F(1, 2), 4: 0}
+    assert cm4_order_densities(t, 2) == {1: F(3, 4), 2: F(1, 4)}
+    assert predict_orders(-3, t, 6, 6)[0] == {1: F(5, 18), 2: F(5, 18), 3: F(2, 9), 6: F(2, 9)}
+    assert predict_orders(-3, t, 3, 9)[0] == {1: 1, 3: 0}
+    assert predict_orders(-7, t, 2, 2)[0] == {1: F(1, 2), 2: F(1, 2)}
 
 
 @given(
@@ -587,6 +601,19 @@ def test_conjecture_report_end_to_end(monkeypatch):
         if by_n[n].N:
             assert by_n[n].empirical == pytest.approx(by_n[n].predicted)
     assert rep.all_pass()
+
+
+def test_huge_modulus_costs_its_divisors_not_its_size():
+    # 3·10⁷ = 2⁷·3·5⁷ has 128 divisors and no eligible prime below 2000: the
+    # tallies, divisor list and orders must not be sized by m itself
+    tracemalloc.start()
+    try:
+        rep = density_report(-7, 1, 3 * 10**7, p_max=2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 128 and {r.N for r in rep.rows} == {0}
+    assert peak < 20 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

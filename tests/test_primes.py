@@ -1,13 +1,16 @@
 """prime_engine: sieve, modular arithmetic, and rational reductions.
 
-Oracles: sympy (primerange, jacobi_symbol, n_order, totient) for everything
-that has an independent implementation there; frozen values for the rest.
+Oracles: sympy (primerange, jacobi_symbol, n_order, totient, factorint,
+divisors) for everything that has an independent implementation there;
+frozen values for the rest.  The package itself never imports sympy.
 """
 
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from cmresidues.density import _segments
 from cmresidues.primes import (
+    _divisors,
     euler_phi,
     is_prime,
     jacobi,
@@ -27,7 +31,9 @@ from cmresidues.primes import (
 )
 
 
-@pytest.mark.parametrize("lo,hi", [(1, 10), (13, 14), (0, 2), (90, 114), (7900, 8000)])
+@pytest.mark.parametrize(
+    "lo,hi", [(1, 10), (13, 14), (0, 2), (90, 114), (7900, 8000), (2, 2 * 10**5), (2**32 - 10**6, 2**32)]
+)
 def test_primes_in_range_vs_sympy(lo, hi):
     assert list(primes_in_range(lo, hi)) == list(sympy.primerange(lo, hi))
 
@@ -114,6 +120,80 @@ def test_order_dividing_vs_sympy():
 def test_euler_phi_vs_sympy():
     for n in list(range(1, 200)) + [720, 5040, 2**10, 3**7]:
         assert euler_phi(n) == sympy.totient(n)
+
+
+# -- the factoriser: trial division to 10⁶, then 1, q, q² or q·r below 10¹⁸ ----
+
+Q, R = 1_000_003, 1_000_033  # the first two primes above 10⁶
+P18 = 10**18 - 11  # the last prime below 10¹⁸
+
+
+_factor = lru_cache(maxsize=None)(sympy.factorint)
+
+
+def _kfree_oracle(t, k):
+    t = Fraction(t)
+    out = 1
+    for part, power in ((t.numerator, 1), (t.denominator, k - 1)):
+        for q, e in _factor(abs(part)).items():
+            out *= q ** (e * power % k)
+    return -out if t < 0 and k % 2 == 0 else out
+
+
+def _check_kfree(ts):
+    for t in ts:
+        for k in (2, 3, 4, 6):
+            assert kfree_reduce(t, k) == _kfree_oracle(t, k), (t, k)
+        assert squarefree_part(t) == _kfree_oracle(t, 2), t
+
+
+def _check_against_sympy(n, full=True):
+    _check_kfree((n, -n, Fraction(1, n), Fraction(-7, n)))
+    if full:
+        assert euler_phi(n) == sympy.totient(n), n
+        assert _divisors(n) == tuple(sympy.divisors(n)), n
+
+
+def test_factoriser_vs_sympy_to_2e4():
+    phi = np.arange(20_001)  # φ(n) = n·∏(1 - 1/q) over the primes q | n, by a sieve
+    for q in sympy.primerange(20_001):
+        phi[q::q] -= phi[q::q] // q
+    for n in range(1, 20_001):
+        assert euler_phi(n) == phi[n], n
+        assert _divisors(n) == tuple(sympy.divisors(n)), n
+        _check_kfree((n, Fraction(-1, n)))
+
+
+@pytest.mark.parametrize("n", [Q * Q, P18, 2**90, 3**43 * 5, 2**5 * 3 * P18, 6 * Q * Q, 10**12 - 11])
+def test_factoriser_vs_sympy_past_the_trial_bound(n):
+    assert sympy.isprime(P18) and sympy.isprime(10**12 - 11)
+    _check_against_sympy(n)
+
+
+def test_factoriser_keeps_a_two_prime_block_whole_for_reduction_only():
+    # q·r with q, r > 10⁶ is never split: k-th-power-free reduction needs no split,
+    # full factorisation (φ, divisors, orders) refuses it
+    just_below = Q * sympy.prevprime(10**18 // Q)  # a q·r just below 10¹⁸
+    for n in (Q * R, 12 * Q * R, 2**7 * 3**4 * Q * R, just_below):
+        _check_against_sympy(n, full=False)
+    for n in (Q * R, 12 * Q * R):
+        with pytest.raises(ValueError, match="cannot factor"):
+            euler_phi(n)
+        with pytest.raises(ValueError, match="cannot factor"):
+            _divisors(n)
+    t = Fraction(P18, P18 - 2)  # each part below 10¹⁸, their product far past it
+    assert kfree_reduce(t, 2) == _kfree_oracle(t, 2)
+
+
+def test_factoriser_refuses_past_1e18():
+    big = sympy.nextprime(10**18)  # no prime factor below 10⁶, past 10¹⁸
+    for n in (big, 2 * big, sympy.nextprime(10**9) ** 2, Q * R * R):
+        with pytest.raises(ValueError, match="cannot factor"):
+            kfree_reduce(n, 2)
+        with pytest.raises(ValueError, match="cannot factor"):
+            euler_phi(n)
+    with pytest.raises(ValueError, match="cannot factor"):
+        kfree_reduce(Fraction(1, big), 3)
 
 
 # -- rational reductions ----------------------------------------------------
