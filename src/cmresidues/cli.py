@@ -55,8 +55,9 @@ _OPTIONS = {
     "pmax": (int, _ALL, "scan primes p < pmax"),
     "oracle-bound": (int, ("verify",),
                      "trace-oracle suite: compare traces with naive counts for p <= this bound"),
-    "workers": (int, _SCANS,
-                "scan processes: the calling one plus WORKERS-1 forked children, at most one per segment"),
+    "workers": (int, _ALL,
+                "processes for the segments of a scan or suite: the calling one plus WORKERS-1 forked "
+                "children, at most one per segment"),
     "format": (str, _ALL, "report format, csv or json (verify writes json)"),
     "out": (str, _ALL, "write report here instead of stdout"),
     "curve-table": (str, _ALL, "alternate Weierstrass model table (curves.txt format)"),
@@ -177,6 +178,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         p_max=cfg.pmax,
         oracle_bound=ORACLE_BOUND if cfg.oracle_bound is None else cfg.oracle_bound,
         table=_load_table(cfg),
+        workers=cfg.workers or 1,
     )
     payload = {
         "meta": base_meta(cfg.pmax),

@@ -15,10 +15,13 @@ Two kinds of statements are checked against the trace pipeline:
 Scan determinism: the prime range is cut into fixed segments, each segment
 is tallied independently (workers only change who computes which segment),
 and integer tallies are merged in range order — so reports are
-byte-identical for any worker count.  The suites walk the same segments,
-one ``engine.Segment`` each for all of a suite's cases, and list violations
-in case order, then by p, wherever the segments are cut.  Nothing time- or
-host-dependent goes into a report.
+byte-identical for any worker count.  The suites run on the same segments
+and the same ``_map_segments``, one ``engine.Segment`` per segment for all
+of a suite's cases: each segment keeps its first violations by (case, p,
+sub), the merge adds the checks and sorts the kept lists by key, so
+violations list in case order, then by p, wherever the segments are cut
+and however many workers check them.  Nothing time- or host-dependent
+goes into a report.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .engine import (
 )
 from .eisenstein import PRIMARY_CONVENTION
 from .gaussian import GaussInt, closed_form_odd_factor, closed_form_trace_symbol, closed_form_two
-from .prime_sets import CongMod, QuarticCell, SetExpr, quartic_cell, quartic_cell_expr
+from .prime_sets import And, CongMod, Not, Or, QuarticCell, SetExpr, SymOrder, quartic_cell, quartic_cell_expr
 from .primes import (
     Rational,
     _divisors,
@@ -318,8 +321,8 @@ def _scan_chunk(plan, bounds):
             keep = keep[some]
             totals[i] = int(keep.sum())
             for m in it.moduli:
-                counts = np.bincount(orders[m][keep]).tolist()
-                tallies[i][m] = {n: c for n, c in enumerate(counts) if c}
+                found, counts = np.unique(orders[m][keep], return_counts=True)
+                tallies[i][m] = dict(zip(found.tolist(), counts.tolist()))
     return totals, tallies
 
 
@@ -363,7 +366,7 @@ def _map_segments(fn, segments, workers):
             except EOFError:
                 proc.join()
                 raise RuntimeError(
-                    f"scan share {i} of {k} (segments {i}::{k}): its process exited "
+                    f"share {i} of {k} (segments {i}::{k}): its process exited "
                     f"with code {proc.exitcode} without sending a result"
                 ) from None
             if isinstance(got, BaseException):
@@ -383,6 +386,15 @@ def _map_segments(fn, segments, workers):
     return out
 
 
+def _atom_moduli(expr: SetExpr | None) -> list[int]:
+    """M of every mod(M;…) atom and m of every symord(m;…) atom of expr."""
+    if isinstance(expr, (And, Or)):
+        return [m for q in expr.parts for m in _atom_moduli(q)]
+    if isinstance(expr, Not):
+        return _atom_moduli(expr.inner)
+    return [expr.modulus] if isinstance(expr, CongMod) else [expr.m] if isinstance(expr, SymOrder) else []
+
+
 def scan_batch(
     items,
     p_max: int,
@@ -397,10 +409,15 @@ def scan_batch(
     integers, and integer tallies merge in segment order, so the result is a
     pure function of the arguments regardless of `workers`: the caller plus
     `workers` - 1 forked children, at most one process per segment.  The
-    engine's residues are uint64, so p_max may be at most 2**32 (ValueError
-    otherwise).
+    engine's residues are uint64, so p_max may be at most 2**32, and every
+    item modulus and every mod(M;…) or symord(m;…) modulus must be below it
+    (no prime below 2**32 is ≡ 1 mod such a modulus); ValueError otherwise,
+    before any segment runs.
     """
     items = tuple(items)
+    wide = [m for it in items for m in (*it.moduli, *_atom_moduli(it.extra)) if m >= P_LIMIT]
+    if wide:
+        raise ValueError(f"modulus {wide[0]} is past the engine's limit 2**32: moduli must be below it")
     parts = _map_segments(partial(_scan_chunk, (items, table)), _segments(p_min, p_max), workers)
     results = [
         ItemResult(item, p_max, 0, {m: {} for m in item.moduli}) for item in items
@@ -527,11 +544,17 @@ def _conditioning_modulus(item: ScanItem) -> int | None:
     return None
 
 
-def density_rows(res: ItemResult, m: int, orders=None) -> list[ReportRow]:
-    """Closed-form-vs-empirical rows for the m-class of one scan result."""
-    item = res.item
+def _predictions(item: ScanItem, m: int) -> tuple[dict[int, Fraction], str] | None:
+    """``predict_orders`` for the m-class over the item's conditioning, None if it is not plain."""
     cond_m = _conditioning_modulus(item)
-    preds = predict_orders(item.d, item.t, m, cond_m) if cond_m is not None else None
+    return predict_orders(item.d, item.t, m, cond_m) if cond_m is not None else None
+
+
+def density_rows(res: ItemResult, m: int, orders=None, preds=None) -> list[ReportRow]:
+    """Closed-form-vs-empirical rows for the m-class of one scan result; ``preds`` is
+    ``_predictions(res.item, m)``, looked up here when not given."""
+    item = res.item
+    preds = preds or _predictions(item, m)
     set_str = str(item.extra) if item.extra is not None else ""
     rows = []
     for n in orders or _divisors(m):
@@ -596,8 +619,10 @@ def density_report(
     C_M^1 cell (set_expr None or mod(M;1)) and a table covers (d, m); other
     conditionings report empirical densities with verdict n/a.
     """
-    res = run_scan(d, t, m, set_expr, p_max, workers=workers, table=table)
-    return Report(density_rows(res, m, orders), base_meta(p_max))
+    item = ScanItem(d, Fraction(t), (m,), set_expr)
+    preds = _predictions(item, m)  # before the scan: a table past the factoring limit fails at once
+    res = scan_batch([item], p_max, workers=workers, table=table)[0]
+    return Report(density_rows(res, m, orders, preds), base_meta(p_max))
 
 
 def conjecture_report(
@@ -640,12 +665,7 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Check count and the first ``cap`` violations of one suite run.
-
-    Checks arrive as aligned arrays, a segment and a case at a time.  Each
-    violation is keyed (case, p, sub) and the kept list is sorted by the key,
-    so it reads in case order, then by p, for any segment cut.
-    """
+    """Check count and violations, keyed (case, p, sub) and unique, of one suite over one segment."""
 
     def __init__(self, suite: str, cap: int):
         self.suite, self.cap, self.checked = suite, cap, 0
@@ -655,11 +675,9 @@ class _Recorder:
         """One check per p in ps: expected[i] == got[i], a scalar standing for every i."""
         expected, got = (np.broadcast_to(np.asarray(v), ps.shape) for v in (expected, got))
         self.checked += len(ps)
-        for i in np.flatnonzero(expected != got)[: self.cap].tolist():
+        for i in np.flatnonzero(expected != got)[: self.cap].tolist():  # ps ascend: the first by key
             v = {"p": int(ps[i]), "suite": self.suite, "expected": show(expected[i]), "got": show(got[i])}
             self.found.append(((case, v["p"], sub), v))
-        self.found.sort(key=lambda kv: kv[0])  # what falls past the first cap stays past it
-        del self.found[self.cap :]
 
 
 _W2_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
@@ -853,12 +871,20 @@ SUITES = {
 }
 
 
-def _run_suite(name: str, check, args: tuple, params: dict, p_max: int, cap: int) -> SuiteResult:
-    """Walk the segments of [5, p_max), one Segment each for all of the suite's cases."""
+def _check_segment(name: str, check, args: tuple, cap: int, bounds: tuple[int, int]) -> tuple[int, list]:
+    """(checks, first violations by key) of a suite over one Segment, shared by all of its cases."""
     rec = _Recorder(name, cap)
-    for bounds in _segments(5, max(p_max, 5)):
-        check(Segment(*bounds), rec, *args)
-    return SuiteResult(name, rec.checked, [v for _, v in rec.found], params)
+    check(Segment(*bounds), rec, *args)
+    return rec.checked, sorted(rec.found)[:cap]
+
+
+def _run_suite(name: str, check, args: tuple, params: dict, p_max: int, cap: int, workers: int = 1):
+    """The segments of [5, p_max) on ``workers`` processes, as a scan's; the violations,
+    in case order and then by p for any segment cut, merge by key and are cut to the cap once."""
+    fn = partial(_check_segment, name, check, args, cap)
+    parts = _map_segments(fn, _segments(5, max(p_max, 5)), workers)
+    found = sorted(kv for _, kept in parts for kv in kept)[:cap]
+    return SuiteResult(name, sum(n for n, _ in parts), [v for _, v in found], params)
 
 
 def verify_suite(
@@ -870,6 +896,7 @@ def verify_suite(
     oracle_bound: int = ORACLE_BOUND,
     table: dict[int, CurveModel] | None = None,
     max_violations: int = _VIOLATION_CAP,
+    workers: int = 1,
 ) -> SuiteResult:
     """Run one exact per-prime suite; see SUITES for the tokens.
 
@@ -879,7 +906,8 @@ def verify_suite(
     raises ValueError instead of being ignored, and so do a negative bound,
     p_max > 2**32 (the engine's limit) and a range that could need a naive
     count past ``curves._NAIVE_LIMIT``: twist counts every good p < p_max,
-    trace-oracle the split p <= oracle_bound.
+    trace-oracle the split p <= oracle_bound.  ``workers`` is ``scan_batch``'s:
+    the result does not depend on it.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
@@ -910,7 +938,7 @@ def verify_suite(
         params["oracle_bound"] = oracle_bound
     if name == "cubic":
         params["convention"] = PRIMARY_CONVENTION
-    return _run_suite(name, check, (ds, ts, oracle_bound, table), params, p_max, max_violations)
+    return _run_suite(name, check, (ds, ts, oracle_bound, table), params, p_max, max_violations, workers)
 
 
 def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[str, int]:

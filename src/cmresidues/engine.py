@@ -1,7 +1,8 @@
 """Vectorised segment engine: the scan chain as numpy stages over one segment.
 
 Scans (``density.scan_batch``) and the exact suites (``density.verify_suite``)
-both read their per-prime data from a ``Segment``.
+both read their per-prime data from a ``Segment``, one per segment of the
+prime range, spread over the workers of ``density._map_segments``.
 
 Class number one makes the primes that split in d exactly the prime values
 of one norm form, so a segment of the prime range needs no per-prime Python
@@ -25,7 +26,8 @@ work at all:
   ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the lcm.
 
 Every residue is held below p and every product of two residues is formed
-in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``).
+in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``),
+and ``density.scan_batch`` refuses every modulus of 2³² or more.
 The scalar functions (``ap``, ``classify``, ``order_dividing``,
 ``split_prime``, ``quartic_exponent``, …) are the reference the engine is
 tested against prime by prime.
@@ -286,7 +288,9 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
         return np.isin(ps % expr.modulus, expr.residues)
     if isinstance(expr, SymOrder):
         m, t = expr.m, expr.t
-        tm = mod_array(t.numerator * t.denominator ** (m - 1), ps)  # t ≡ num·den^(m-1) mod m-th powers
+        # t ≡ num·den^(m-1) mod m-th powers, den reduced mod p before its power
+        num, den = (mod_array(v, ps).astype(np.uint64) for v in (t.numerator, t.denominator))
+        tm = (num * pow_array(den, m - 1, ps).astype(np.uint64) % ps.astype(np.uint64)).astype(np.int64)
         out = tm != 0
         out[out] = residue_orders(tm[out], ps[out], (m,))[m] == expr.n  # 0 at p ≢ 1 (mod m), and n >= 1
         return out

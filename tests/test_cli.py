@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from cmresidues import density
 from cmresidues.cli import _DISPATCH, _OPTIONS, main, read_config_file
 from cmresidues.curves import CurveModel, default_table
 
@@ -158,15 +159,24 @@ def test_verify_restricted(capsys):
     assert payload["params"]["ts"] == ["2"]
 
 
-def test_workers_do_not_change_bytes(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for target, workers in ((a, "1"), (b, "3")):
-        code, _, _ = run(
-            capsys, "density", "--d", "-4", "--t", "3", "--m", "4",
-            "--pmax", "30000", "--workers", workers, "--out", str(target),
-        )
-        assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_workers_do_not_change_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 5_000)  # six segments
+    for argv in (["density", "--d", "-4", "--t", "3", "--m", "4"], ["verify", "--suite", "nine-cells"]):
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        for target, workers in ((a, "1"), (b, "3")):
+            code, _, _ = run(capsys, *argv, "--pmax", "30000", "--workers", workers, "--out", str(target))
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes(), argv
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_verify_honours_workers(tmp_path, capsys, given):
+    argv = ["verify", "--suite", "two-factor", "--pmax", "1000"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 3\n")
+    more = ["--workers", "3"] if given == "flag" else ["--config", str(cfg)]
+    got = run(capsys, *argv, *more)
+    assert got == run(capsys, *argv) and got[0] == 0
 
 
 @pytest.mark.parametrize("command", ["density", "conjecture"])
@@ -261,7 +271,7 @@ def test_config_file_errors(tmp_path, capsys, text, fragment):
         (["verify", "--suite", "two-factor"], "m = 4\n"),
         (["verify", "--suite", "two-factor"], "n = 1\n"),
         (["verify", "--suite", "two-factor"], "set = mod(8;1)\n"),
-        (["verify", "--suite", "two-factor"], "workers = 3\n"),
+        (["conjecture", "--d", "-7", "--m", "2"], "suite = quadratic\n"),
         (["density", "--d", "-7", "--m", "2"], "oracle-bound = 500\n"),
         (["conjecture", "--d", "-7", "--m", "2"], "oracle-bound = 500\n"),
         (["density", "--d", "-7", "--m", "2"], "suite = quadratic\n"),
@@ -342,7 +352,7 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--m", "4"], "verify does not take --m"),
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--n", "1"], "verify does not take --n"),
         (["verify", "--suite", "two-factor", "--pmax", "1000", "--set", "mod(8;1)"], "verify does not take --set"),
-        (["verify", "--suite", "two-factor", "--pmax", "1000", "--workers", "3"], "verify does not take --workers"),
+        (["density", "--d", "-7", "--m", "100000000000000000000", "--pmax", "2000"], "past the engine's limit 2**32"),
         (["verify", "--suite", "two-factor", "--pmax", "4294967297"], "limit 2**32"),
         (["verify", "--suite", "cubic", "--pmax", "2000", "--oracle-bound", "100"], "takes no oracle bound"),
         (["verify", "--suite", "twist", "--pmax", "2000", "--oracle-bound", "100"], "takes no oracle bound"),
@@ -356,6 +366,10 @@ def test_config_file_missing(capsys):
          "cannot factor"),
         (["density", "--d", "-7", "--m", "2", "--t", "1/1000000000000000003"], "cannot factor"),
         (["density", "--d", "-7", "--m", "1000036000099", "--pmax", "2000"], "cannot factor"),
+        (["density", "--d", "-7", "--m", "2", "--pmax", "2000", "--set", "mod(100000000000000000000;1)"],
+         "past the engine's limit 2**32"),
+        (["density", "--d", "-7", "--m", "2", "--pmax", "2000", "--set", "symord(100000000000000000000;3;1)"],
+         "past the engine's limit 2**32"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):

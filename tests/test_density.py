@@ -605,15 +605,29 @@ def test_conjecture_report_end_to_end(monkeypatch):
 
 def test_huge_modulus_costs_its_divisors_not_its_size():
     # 3·10⁷ = 2⁷·3·5⁷ has 128 divisors and no eligible prime below 2000: the
-    # tallies, divisor list and orders must not be sized by m itself
+    # tallies, divisor list and orders must not be sized by m itself; nor is
+    # the tally of one eligible prime whose order is 8333336, with m = p - 1
+    p = 50_000_017
     tracemalloc.start()
     try:
         rep = density_report(-7, 1, 3 * 10**7, p_max=2_000)
+        res = scan_batch([ScanItem(-4, 1, (p - 1,))], p + 1, p_min=p)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(rep.rows) == 128 and {r.N for r in rep.rows} == {0}
+    assert res.total == 1 and res.tallies == {p - 1: {8_333_336: 1}}
     assert peak < 20 * 2**20, peak
+
+
+def test_density_table_is_looked_up_before_the_scan(monkeypatch):
+    # a --t past the factoring limit fails at once, whatever the range
+    def no_scan(*args):
+        raise AssertionError("the scan ran before the table lookup")
+
+    monkeypatch.setattr(density, "_map_segments", no_scan)
+    with pytest.raises(ValueError, match="cannot factor"):
+        density_report(-7, 300000000000000000000560000000000000000000261, 2, p_max=5 * 10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +715,24 @@ SUITE_NAMES = ["twist", "trace-oracle", "quadratic", "cubic", "sextic-order1",
                "odd-factor", "two-factor", "trace-symbol", "nine-cells"]
 
 
-@pytest.mark.parametrize("name", SUITE_NAMES)
-def test_suite_is_segment_invariant(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, workers",
+    [pytest.param(name, k, id=name if k == 1 else f"{name}-{k}workers") for k in (1, 2) for name in SUITE_NAMES],
+)
+def test_suite_is_segment_invariant(name, workers, monkeypatch):
     # the suite analogue of test_scan_is_worker_invariant: checks, params and
     # violations (the doctored model makes the quadratic suite's non-empty)
-    # do not depend on where the segments are cut
+    # do not depend on where the segments are cut, nor on how many processes
+    # check them, under either cap
     kwargs = dict(p_max=6_000, table=_doctored_table())
-    whole = verify_suite(name, **kwargs)
+    whole = {cap: verify_suite(name, max_violations=cap, **kwargs) for cap in (5, 1000)}
     monkeypatch.setattr(density, "_CHUNK", 977)
-    cut = verify_suite(name, **kwargs)
-    assert (cut.checked, cut.params, cut.violations) == (whole.checked, whole.params, whole.violations)
-    assert whole.checked > 0
+    for cap, res in whole.items():
+        cut = verify_suite(name, max_violations=cap, workers=workers, **kwargs)
+        assert (cut.checked, cut.params, cut.violations) == (res.checked, res.params, res.violations)
+        assert res.checked > 0
+    if name == "quadratic":
+        assert len(whole[1000].violations) > 5  # so the cap of 5 cuts the list
 
 
 def _quadratic_violations(ds, ts, p_max, table):

@@ -8,6 +8,7 @@ width limit, p < 2³², at its edge.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,20 @@ def test_set_masks_match_classify():
         assert set_mask(expr, ps, seg).tolist() == [classify(p, expr) for p in ps.tolist()], expr
 
 
+def test_symord_mask_with_a_large_m_and_a_rational_t():
+    # den^(m-1) is reduced mod p before its power: a 3-million-bit integer
+    # reduced limb by limb took seconds per segment
+    seg = Segment(29_900_000, 30_100_000)  # holds 30000001 = 10·m + 1
+    ps = seg.primes
+    for n in (1, 46_875):  # 46875 is the order of the m-class of 1/2 at 30000001
+        expr = SymOrder(3_000_000, Fraction(1, 2), n)
+        t0 = time.perf_counter()
+        mask = set_mask(expr, ps, seg)
+        assert time.perf_counter() - t0 < 1.0
+        assert mask.tolist() == [classify(p, expr) for p in ps.tolist()], expr
+        assert mask.sum() == (n == 46_875)
+
+
 # ---------------------------------------------------------------------------
 # Whole segments against the per-prime loop
 
@@ -316,3 +331,24 @@ def test_width_limit_is_enforced(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "limit 2**32" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["item", "mod", "symord"])
+def test_moduli_width_limit(kind, monkeypatch):
+    # no prime below 2³² is ≡ 1 mod a modulus of 2³² or more: 2³² - 1 is
+    # scanned, 2³² is refused before any segment runs
+    def item(m):
+        if kind == "item":
+            return ScanItem(-7, Fraction(1), (m,))
+        extra = f"mod({m};1)" if kind == "mod" else f"mod(8;1) & !symord({m};3;1)"
+        return ScanItem(-7, Fraction(1), (2,), parse_set(extra))
+
+    mod8 = scan_batch([ScanItem(-7, Fraction(1), (2,), parse_set("mod(8;1)"))], 2_000)[0].total
+    assert scan_batch([item(P_LIMIT - 1)], 2_000)[0].total == (mod8 if kind == "symord" else 0) and mod8 > 0
+
+    def no_scan(*args):
+        raise AssertionError("a segment ran")
+
+    monkeypatch.setattr(density, "_map_segments", no_scan)
+    with pytest.raises(ValueError, match="modulus 4294967296 is past the engine's limit 2\\*\\*32"):
+        scan_batch([item(P_LIMIT)], 2_000)
