@@ -44,6 +44,7 @@ from .curves import _NAIVE_LIMIT, CurveModel, CurveSpec, naive_traces, unit_coun
 from .engine import (
     P_LIMIT,
     Segment,
+    TwistOrders,
     isqrt_array,
     legendre_array,
     mod_array,
@@ -294,35 +295,39 @@ def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
-    Sieve, norm form and trace run once per (d, t) group, the trace only at
-    primes ≡ 1 mod the gcd of its items' lcm(moduli), where every eligible
-    set lies; the eligible set of each item is one mask (good, split, ≡ 1
-    mod every modulus, in ``extra``), and the orders of all the group's
-    moduli take one modular power per prime that some item tallies.
+    Sieve and norm form run once per d, the trace once per (d, t) group and
+    only at primes ≡ 1 mod the gcd of its items' lcm(moduli), where every
+    eligible set lies; the eligible set of each item is one mask (good,
+    split, ≡ 1 mod every modulus, in ``extra``), and the orders of all the
+    moduli of a d take one full power per prime and distinct |a_p| that some
+    item tallies (``TwistOrders``).
     """
     items, table = plan
     seg = Segment(*bounds)
-    groups: dict[CurveSpec, list[int]] = {}
+    groups: dict[int, dict[Fraction, list[int]]] = {}
     for idx, it in enumerate(items):
-        groups.setdefault(CurveSpec(it.d, it.t), []).append(idx)
+        groups.setdefault(it.d, {}).setdefault(it.t, []).append(idx)
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
-    for spec, idxs in groups.items():
-        group = [items[i] for i in idxs]
-        lcms = [math.lcm(*it.moduli) for it in group]
-        ps, a = seg.traces(spec, table, math.gcd(*lcms))
-        keeps = [(ps - 1) % L == 0 for L in lcms]
-        for keep, it in zip(keeps, group):
-            if it.extra is not None:
-                keep &= set_mask(it.extra, ps, seg)
-        some = np.logical_or.reduce(keeps)
-        orders = residue_orders(a[some], ps[some], sorted({m for it in group for m in it.moduli}))
-        for i, it, keep in zip(idxs, group, keeps):
-            keep = keep[some]
-            totals[i] = int(keep.sum())
-            for m in it.moduli:
-                found, counts = np.unique(orders[m][keep], return_counts=True)
-                tallies[i][m] = dict(zip(found.tolist(), counts.tolist()))
+    for d, twists in groups.items():
+        moduli = {m for idxs in twists.values() for i in idxs for m in items[i].moduli}
+        orders_of = TwistOrders(seg.form(d)[0] if len(twists) > 1 else None, math.lcm(*moduli))
+        for t, idxs in twists.items():
+            group = [items[i] for i in idxs]
+            lcms = [math.lcm(*it.moduli) for it in group]
+            ps, a = seg.traces(CurveSpec(d, t), table, math.gcd(*lcms))
+            keeps = [(ps - 1) % L == 0 for L in lcms]
+            for keep, it in zip(keeps, group):
+                if it.extra is not None:
+                    keep &= set_mask(it.extra, ps, seg)
+            some = np.logical_or.reduce(keeps)
+            orders = orders_of(ps[some], a[some], sorted({m for it in group for m in it.moduli}))
+            for i, it, keep in zip(idxs, group, keeps):
+                keep = keep[some]
+                totals[i] = int(keep.sum())
+                for m in it.moduli:
+                    found, counts = np.unique(orders[m][keep], return_counts=True)
+                    tallies[i][m] = dict(zip(found.tolist(), counts.tolist()))
     return totals, tallies
 
 

@@ -20,10 +20,15 @@ work at all:
   inverse: ``symbol_exponents``), and Legendre tables mod |d| and mod 8
   for the base traces — at the primes ≡ 1 mod a given modulus only;
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
-* order: ``residue_orders`` takes one modular power per prime for every
-  modulus, w = a^((p-1)/g) with g = gcd(p - 1, lcm of the moduli), and
-  reads each m-class a^((p-1)/m) = w^(g/m) off the order of w, which
-  ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the lcm.
+* order: ``TwistOrders`` takes the orders of the twists of one d in turn.
+  At a split prime the twists' a_p differ by a sign and among at most three
+  values of |a_p|, so with g = gcd(p - 1, lcm of the d's moduli) and
+  k = (p-1)/g it takes one full power |a_p|^k per prime and distinct |a_p|,
+  and applies the sign as (-1)^k.  Each m-class a^((p-1)/m) = w^(g/m) of
+  w = a^k is read off the order of w, which ``order_array`` finds by
+  repeated ℓ-th powers for each prime ℓ of the lcm.  ``residue_orders`` is
+  its one-twist case, and ``Segment.symord`` keeps the orders of the
+  symord(m; t; ·) atoms per (m, t), whatever n.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``),
@@ -35,6 +40,7 @@ tested against prime by prime.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
@@ -65,9 +71,29 @@ def mod_array(n: int, ps: np.ndarray) -> np.ndarray:
 
 
 def pow_array(base: np.ndarray, exp, ps: np.ndarray) -> np.ndarray:
-    """base**exp mod p elementwise, 0 <= base < p < 2³², exp an int or an array."""
+    """base**exp mod p elementwise, 0 <= base < p < 2³², exp >= 0 an int or an array.
+
+    A scalar exponent walks its bits in Python, most significant first; an
+    array exponent takes one masked square-and-multiply step per bit of its
+    largest element.  The powers of 0, 1 and -1 are 0, 1 or ±1 (x**0 = 1), so
+    an array with no other base takes no step.
+    """
     p = ps.astype(np.uint64)
     b = base.astype(np.uint64)
+    if not ((1 < b) & (b < p - np.uint64(1))).any():
+        e = np.asarray(exp)
+        return np.where((e == 0) | ((b == p - np.uint64(1)) & (e % 2 == 0)), 1, b).astype(np.int64)
+    if np.ndim(exp) == 0:
+        if exp == 0:
+            return np.ones(len(ps), dtype=np.int64)
+        r = b.copy()
+        for bit in bin(int(exp))[3:]:  # in place, after the leading 1
+            r *= r
+            r %= p
+            if bit == "1":
+                r *= b
+                r %= p
+        return r.astype(np.int64)
     e = np.broadcast_to(np.asarray(exp, dtype=np.int64), ps.shape).astype(np.uint64)
     r = np.ones(len(ps), dtype=np.uint64)
     rb = np.empty_like(r)
@@ -109,24 +135,69 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
 
 def residue_orders(a: np.ndarray, ps: np.ndarray, moduli) -> dict[int, np.ndarray]:
     """m -> order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m),
-    0 elsewhere, for every m in moduli.
+    0 elsewhere, for every m in moduli.  One twist's ``TwistOrders``."""
+    return TwistOrders(None, lcm(*moduli))(ps, a, moduli)
 
-    One modular power per prime for all of them: with M = lcm(moduli) and
-    g = gcd(p - 1, M), w = a^((p-1)/g) has order dividing g, and for m | g
-    a^((p-1)/m) = w^(g/m) has order ord(w)/gcd(ord(w), g/m).
+
+class TwistOrders:
+    """``residue_orders`` for the twists of one d, called twist by twist on subsets
+    of the increasing primes split (None for a single twist), every modulus a
+    divisor of M.
+
+    One full power per prime and distinct |a| mod p over all the calls: with
+    g = gcd(p - 1, M) and k = (p-1)/g, the power w = a^k = (-1)^k·|a|^k has
+    order dividing g, and for m | g the m-class a^((p-1)/m) = w^(g/m) has order
+    ord(w)/gcd(ord(w), g/m).  The twists of one d differ at a prime by a sign
+    and among at most three values of |a_p|, so |a|^k is kept as (value, power)
+    array pairs indexed by position in split, one pair per value a prime takes.
+    ``order_array`` then finds ord(w), and raises where a ≡ 0 at a prime it powers.
     """
-    M = lcm(*moduli)
-    g = np.gcd(ps - 1, M)
-    sel = np.logical_or.reduce([g % m == 0 for m in moduli])  # some m divides p - 1
-    q = ps[sel]
-    order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
-    order[sel] = order_array(pow_array(a[sel] % q, (q - 1) // g[sel], q), M, q)
-    out = {}
-    for m in moduli:
-        at = g % m == 0
-        out[m] = np.zeros(len(ps), dtype=np.int64)
-        out[m][at] = order[at] // np.gcd(order[at], g[at] // m)
-    return out
+
+    def __init__(self, split: np.ndarray | None, M: int):
+        self.split, self.M = split, M  # split None: one twist, nothing to share
+        self.memo: list[tuple[np.ndarray, np.ndarray]] = []  # (|a| mod p or -1, |a|^k mod p)
+
+    def __call__(self, ps: np.ndarray, a: np.ndarray, moduli) -> dict[int, np.ndarray]:
+        if any(self.M % m for m in moduli):
+            raise ValueError(f"moduli {tuple(moduli)} do not all divide {self.M}")
+        g = np.gcd(ps - 1, self.M)
+        sel = np.logical_or.reduce([g % m == 0 for m in moduli])  # some m divides p - 1
+        q = ps[sel]
+        k = (q - 1) // g[sel]
+        w = self._power(q, k, np.abs(a[sel]) % q)
+        w = np.where((k % 2 == 1) & (a[sel] < 0), q - w, w)  # q - 0 is still ≡ 0
+        order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
+        order[sel] = order_array(w, self.M, q)
+        out = {}
+        for m in moduli:
+            at = g % m == 0
+            out[m] = np.zeros(len(ps), dtype=np.int64)
+            out[m][at] = order[at] // np.gcd(order[at], g[at] // m)
+        return out
+
+    def _power(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v^k mod p at the primes q, v = |a| mod p, powering each (p, v) once over every call."""
+        if self.split is None:
+            return pow_array(v, k, q)
+        pos = np.searchsorted(self.split, q)
+        w = np.empty(len(q), dtype=np.int64)
+        new = np.ones(len(q), dtype=bool)
+        for vals, pows in self.memo:
+            hit = vals[pos] == v
+            w[hit] = pows[pos[hit]]
+            new &= ~hit
+        if new.any():
+            w[new] = pow_array(v[new], k[new], q[new])
+            idx = new.nonzero()[0]
+            # the first free pair at each prime: a prime's pairs fill in order
+            slot = sum((vals[pos[idx]] >= 0 for vals, _ in self.memo), np.zeros(len(idx), dtype=np.int64))
+            for j in range(int(slot.max()) + 1):
+                if j == len(self.memo):
+                    n = len(self.split)
+                    self.memo.append((np.full(n, -1, dtype=np.int64), np.empty(n, dtype=np.int64)))
+                here = idx[slot == j]
+                self.memo[j][0][pos[here]], self.memo[j][1][pos[here]] = v[here], w[here]
+        return w
 
 
 def symbol_exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray, ps: np.ndarray, k: int) -> np.ndarray:
@@ -192,6 +263,7 @@ class Segment:
         self.primes = prime_array(lo, hi)
         self._is_prime: np.ndarray | None = None
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._symords: dict[tuple[int, Fraction], np.ndarray] = {}
 
     def form(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, x, y), increasing in p: every prime p of the segment split in d, with
@@ -226,6 +298,23 @@ class Segment:
         by_p = np.argsort(p)  # one solution per split prime, so p has no repeats
         self._forms[d] = out = (p[by_p], x[by_p], y[by_p])
         return out
+
+    def symord(self, m: int, t: Fraction, ps: np.ndarray) -> np.ndarray:
+        """The order of the m-class of t at each p in ps (primes of the segment), 0 at
+        p ≢ 1 (mod m) and where p divides t's numerator or denominator (cf.
+        ``prime_sets.SymOrder``); kept per (m, t), so each prime is powered once."""
+        orders = self._symords.setdefault((m, t), np.full(len(self.primes), -1, dtype=np.int64))
+        at = np.searchsorted(self.primes, ps)
+        new = at[orders[at] < 0]
+        if len(new):
+            q = self.primes[new]
+            # t ≡ num·den^(m-1) mod m-th powers, den reduced mod p before its power
+            num, den = (mod_array(v, q).astype(np.uint64) for v in (t.numerator, t.denominator))
+            tm = (num * pow_array(den, m - 1, q).astype(np.uint64) % q.astype(np.uint64)).astype(np.int64)
+            nz = tm != 0
+            orders[new] = 0
+            orders[new[nz]] = residue_orders(tm[nz], q[nz], (m,))[m]
+        return orders[at]
 
     def traces(
         self, spec: CurveSpec, table: dict[int, CurveModel] | None = None, modulus: int = 1
@@ -286,14 +375,8 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
     """``classify(p, expr)`` for every prime p in ps (primes of ``seg``)."""
     if isinstance(expr, CongMod):
         return np.isin(ps % expr.modulus, expr.residues)
-    if isinstance(expr, SymOrder):
-        m, t = expr.m, expr.t
-        # t ≡ num·den^(m-1) mod m-th powers, den reduced mod p before its power
-        num, den = (mod_array(v, ps).astype(np.uint64) for v in (t.numerator, t.denominator))
-        tm = (num * pow_array(den, m - 1, ps).astype(np.uint64) % ps.astype(np.uint64)).astype(np.int64)
-        out = tm != 0
-        out[out] = residue_orders(tm[out], ps[out], (m,))[m] == expr.n  # 0 at p ≢ 1 (mod m), and n >= 1
-        return out
+    if isinstance(expr, SymOrder):  # n >= 1, and the order is 0 outside the set
+        return seg.symord(expr.m, expr.t, ps) == expr.n
     if isinstance(expr, G8):
         out = ps % 8 == 1
         a, b = seg.primary(-4, ps[out])

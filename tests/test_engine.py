@@ -22,6 +22,7 @@ from cmresidues.eisenstein import cubic_exponent, split_prime_eis
 from cmresidues.engine import (
     P_LIMIT,
     Segment,
+    TwistOrders,
     _form,
     mod_array,
     order_array,
@@ -90,13 +91,27 @@ def test_mod_and_pow_arrays():
     for n in (0, 1, -1, 7, -(2**64) - 3, 3**90 + 5, BIG.numerator):
         assert mod_array(n, ps).tolist() == [n % p for p in ps.tolist()]
     edge = prime_array(*EDGE)
-    base = mod_array(3**50, edge)
-    assert pow_array(base, edge - 2, edge).tolist() == [
-        pow(3**50, p - 2, p) for p in edge.tolist()
-    ]
+    big = mod_array(3**50, edge)
+    low = np.choose(np.arange(len(edge)) % 3, [0, 1, edge - 1])  # bases 0, 1 and -1 only: no step taken
+    exps = edge - 2
+    exps[::3] = 0
+    for base in (big, low, np.where(low == 1, big, low)):
+        for exp in (0, 1, 2, 3, 2**31 + 5, EDGE[1] - 1):  # scalar and array exponents agree
+            want = [pow(x, exp, p) for x, p in zip(base.tolist(), edge.tolist())]
+            assert pow_array(base, exp, edge).tolist() == want, exp
+            assert pow_array(base, np.full(len(edge), exp), edge).tolist() == want, exp
+        want = [pow(x, e, p) for x, e, p in zip(base.tolist(), exps.tolist(), edge.tolist())]
+        assert pow_array(base, exps, edge).tolist() == want
 
 
 ORDER_MODULI = [(8, 4), (2,), (6, 2, 3), (9, 3), (12, 8, 3), (5, 10)]
+
+
+def _scalar_orders(a, ps, m):
+    return [
+        order_dividing(pow(x, (p - 1) // m, p), m, p) if (p - 1) % m == 0 else 0
+        for x, p in zip(a.tolist(), ps.tolist())
+    ]
 
 
 @pytest.mark.parametrize("bounds", [(2, 30_000), EDGE])
@@ -104,18 +119,24 @@ def test_residue_orders_match_order_dividing(bounds):
     ps = prime_array(*bounds)
     rng = np.random.default_rng(2006)
     a = rng.integers(1, ps) * rng.choice([-1, 1], len(ps))  # signed, as traces are
+    b = np.where(rng.random(len(ps)) < 0.5, -a, rng.integers(1, ps))  # |b| = |a| at about half the primes
+    half = np.arange(len(ps)) % 2 == 0
+    odd_k = False
     for moduli in ORDER_MODULI:
         M = math.lcm(*moduli)
         g = np.gcd(ps - 1, M)
         assert M == 2 or ((1 < g) & (g < M)).any()  # a power w of order below M, not only M
-        got = residue_orders(a, ps, moduli)
-        assert set(got) == set(moduli)
-        for m in moduli:
-            want = [
-                order_dividing(pow(x, (p - 1) // m, p), m, p) if (p - 1) % m == 0 else 0
-                for x, p in zip(a.tolist(), ps.tolist())
-            ]
-            assert got[m].tolist() == want, (moduli, m)
+        odd_k |= ((ps - 1) // g % 2 == 1).any()  # k = (p-1)/g odd: the sign of a counts
+        # one case alone, then stacked twists that share the power of |a|:
+        # a again, -a, b, and b at half the primes with the first modulus only
+        cases = [(ps, a, moduli), (ps, a, moduli), (ps, -a, moduli), (ps, b, moduli), (ps[half], b[half], moduli[:1])]
+        orders_of = TwistOrders(ps, M)
+        got = [residue_orders(a, ps, moduli)] + [orders_of(*case) for case in cases[1:]]
+        for (q, x, mods), orders in zip(cases, got):
+            assert set(orders) == set(mods)
+            for m in mods:
+                assert orders[m].tolist() == _scalar_orders(x, q, m), (moduli, m)
+    assert odd_k
 
 
 def test_residue_orders_reject_zero():
@@ -245,9 +266,9 @@ def _set_exprs():
 
 def test_set_masks_match_classify():
     seg = Segment(2, 30_000)
-    ps = seg.primes
-    for expr in _set_exprs():
-        assert set_mask(expr, ps, seg).tolist() == [classify(p, expr) for p in ps.tolist()], expr
+    for ps in (seg.primes[::3], seg.primes):  # symord orders kept from a subset, then completed
+        for expr in _set_exprs():
+            assert set_mask(expr, ps, seg).tolist() == [classify(p, expr) for p in ps.tolist()], expr
 
 
 def test_symord_mask_with_a_large_m_and_a_rational_t():
@@ -302,6 +323,60 @@ def test_octic_scan_takes_two_full_powers(monkeypatch):
     assert [exp for _, exp in scalar] == [2, 2, 2]
     for ps, _ in full + scalar:
         assert len(ps) > 0 and (ps % 8 == 1).all()
+
+
+def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
+    # the twists of one d share |a_p| among at most three values at a prime,
+    # so the orders take one full power per distinct (p, |a_p|) that some
+    # item tallies, not one per (d, t) group
+    full, stage = [], []
+
+    def counting_pow(base, exp, ps):
+        if isinstance(exp, np.ndarray):
+            full.append((bool(stage), ps.copy(), base.copy()))
+        return pow_array(base, exp, ps)
+
+    def residue_stage(self, *case):
+        stage.append(True)
+        try:
+            return orders_of(self, *case)
+        finally:
+            stage.pop()
+
+    orders_of = TwistOrders.__call__
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    monkeypatch.setattr(TwistOrders, "__call__", residue_stage)
+    items = tuple(_big_items()[0])
+    _scan_chunk((items, None), (5, 60_000))
+    powered = [(p, x) for inside, ps, base in full if inside for p, x in zip(ps.tolist(), base.tolist())]
+    monkeypatch.undo()
+    seg = Segment(5, 60_000)
+    tallied = set()
+    for it in items:
+        ps, a = seg.traces(CurveSpec(it.d, it.t))
+        keep = (ps - 1) % math.lcm(*it.moduli) == 0
+        if it.extra is not None:
+            keep &= set_mask(it.extra, ps, seg)
+        tallied |= set(zip(ps[keep].tolist(), (np.abs(a[keep]) % ps[keep]).tolist()))
+    assert sorted(powered) == sorted(tallied)  # each pair once
+    assert sum(len(ps) for _, ps, _ in full) <= 85_708  # 126 628 with one power per (d, t)
+
+
+def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
+    # per twist: the trace's quartic symbol, symord(2;t;n) and symord(4;t/2;n)
+    # for every n the nine cells name, and the quartic symbol of a_p
+    full = []
+
+    def counting_pow(base, exp, ps):
+        if isinstance(exp, np.ndarray):
+            full.append(len(ps))
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    check = density.SUITES["nine-cells"][0]
+    checked, found = density._check_segment("nine-cells", check, ((-4,), (Fraction(3),), 0, None), 10, (5, 20_000))
+    assert checked > 0 and found == []
+    assert len(full) == 4
 
 
 # ---------------------------------------------------------------------------
