@@ -808,11 +808,15 @@ def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):
     """Closed form for (ℓ/π)_4, ℓ an odd prime dividing re(π), vs Euler."""
     ps = seg.form(-4)[0]
     a, b = seg.primary(-4, ps)
-    for ell in prime_array(3, int(np.abs(a).max(initial=0)) + 1).tolist():  # ℓ is the sub-key
-        k = np.flatnonzero(a % ell == 0)
-        q, qa, qb = ps[k], a[k], b[k]
-        closed = [closed_form_odd_factor(ell, GaussInt(*pi)).exp for pi in zip(qa.tolist(), qb.tolist())]
-        rec.check(0, q, symbol_exponents(np.full(len(q), ell), qa, qb, q, 4), closed, sub=ell)
+    ells = prime_array(3, int(np.abs(a).max(initial=0)) + 1)  # ℓ is the sub-key
+    at = [np.flatnonzero(a % ell == 0) for ell in ells.tolist()]
+    sizes = [len(i) for i in at]
+    k = np.concatenate([np.empty(0, dtype=np.int64)] + at)
+    # every (ℓ, p) pair in one Euler power, cut back into one run per ℓ
+    euler = symbol_exponents(np.repeat(ells, sizes), a[k], b[k], ps[k], 4)
+    for ell, i, e in zip(ells.tolist(), at, np.split(euler, np.cumsum(sizes)[:-1])):
+        closed = [closed_form_odd_factor(ell, GaussInt(*pi)).exp for pi in zip(a[i].tolist(), b[i].tolist())]
+        rec.check(0, ps[i], e, closed, sub=ell)
 
 
 def _suite_two_factor(seg, rec, ds, ts, oracle_bound, table):

@@ -15,10 +15,15 @@ work at all:
   prime values and sorts them by p once; the primary divisors in Z[i]
   and Z[ω] follow from them;
 * trace: ``Segment.traces`` evaluates a_p by the closed forms of
-  ``curves.ap`` — quadratic characters by Euler's criterion, the quartic
-  and cubic characters by comparing v·b with ∓a mod p (so no modular
-  inverse: ``symbol_exponents``), and Legendre tables mod |d| and mod 8
-  for the base traces — at the primes ≡ 1 mod a given modulus only;
+  ``curves.ap`` at the primes ≡ 1 mod a given modulus only, with Legendre
+  tables mod |d| and mod 8 for the base traces.  The twist's characters
+  (t/π)_4, (t/π)_3 and (t/p) come from the segment's one character table
+  (``Segment.character``): each is the sum of the characters of the bases
+  of t's numerator and denominator — the sign, the primes below 10⁶ and
+  the cofactor left by trial division (``_bases``, once per t).  -1 and 2
+  take the supplementary laws; every other base one Euler power per
+  segment and k, the quartic and cubic ones by comparing v·b with ∓a mod
+  p (so no modular inverse: ``symbol_exponents``);
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
 * order: ``TwistOrders`` takes the orders of the twists of one d in turn.
   At a split prime the twists' a_p differ by a sign and among at most three
@@ -41,6 +46,7 @@ tested against prime by prime.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -48,7 +54,7 @@ import numpy as np
 from .curves import CurveModel, CurveSpec, model_twist
 from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
-from .primes import _factorint, jacobi, prime_array
+from .primes import _factorint, _trial_divide, jacobi, prime_array
 
 P_LIMIT = 1 << 32
 _BLOCK = 4096  # lattice points per enumeration block
@@ -217,6 +223,16 @@ def symbol_exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray, ps: np.ndarray
     return e
 
 
+@lru_cache(maxsize=None)
+def _bases(n: int) -> tuple[tuple[int, int], ...]:
+    """(base, multiplicity) with n = ∏ base^multiplicity, n ≠ 0: -1 if n < 0, then the
+    primes that trial division by the primes below 10⁶ takes out, then the cofactor
+    it leaves, of any size.  Kept per n, so a scan splits each twist once, not once
+    per segment."""
+    primes, rest = _trial_divide(abs(n))
+    return ((-1, 1),) * (n < 0) + tuple(primes.items()) + ((rest, 1),) * (rest > 1)
+
+
 # d -> (D, scale, first y, y step, alpha, beta): the prime values
 # p = (x² + D·y²)/scale with x, y > 0 and x ≡ alpha·y + beta (mod 2).
 _FORMS = {
@@ -263,7 +279,7 @@ class Segment:
         self.primes = prime_array(lo, hi)
         self._is_prime: np.ndarray | None = None
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._symords: dict[tuple[int, Fraction], np.ndarray] = {}
+        self._memos: dict[tuple, np.ndarray | tuple] = {}  # per key, a value >= 0 at each prime asked for
 
     def form(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, x, y), increasing in p: every prime p of the segment split in d, with
@@ -299,22 +315,76 @@ class Segment:
         self._forms[d] = out = (p[by_p], x[by_p], y[by_p])
         return out
 
+    def _memo(self, key: tuple, ps: np.ndarray, fill) -> np.ndarray:
+        """fill(new) >= 0 at ps[new] (ps primes of the segment, new an index into ps), kept
+        per key so that fill meets each prime once, and only the primes asked for.  The
+        first ask of a key is kept as it came; a second one spreads it over ``self.primes``,
+        so a key asked once per segment, as a scan of one twist asks it, pays no search."""
+        memo = self._memos.get(key)
+        if memo is None:
+            values = fill(slice(None))
+            self._memos[key] = (ps, values)
+            return values
+        if isinstance(memo, tuple):
+            first, values = memo
+            memo = self._memos[key] = np.full(len(self.primes), -1, dtype=np.int64)
+            memo[np.searchsorted(self.primes, first)] = values
+        at = np.searchsorted(self.primes, ps)
+        new = memo[at] < 0
+        if new.any():
+            memo[at[new]] = fill(new)
+        return memo[at]
+
     def symord(self, m: int, t: Fraction, ps: np.ndarray) -> np.ndarray:
         """The order of the m-class of t at each p in ps (primes of the segment), 0 at
         p ≢ 1 (mod m) and where p divides t's numerator or denominator (cf.
         ``prime_sets.SymOrder``); kept per (m, t), so each prime is powered once."""
-        orders = self._symords.setdefault((m, t), np.full(len(self.primes), -1, dtype=np.int64))
-        at = np.searchsorted(self.primes, ps)
-        new = at[orders[at] < 0]
-        if len(new):
-            q = self.primes[new]
+
+        def orders(new):
+            q = ps[new]
             # t ≡ num·den^(m-1) mod m-th powers, den reduced mod p before its power
             num, den = (mod_array(v, q).astype(np.uint64) for v in (t.numerator, t.denominator))
             tm = (num * pow_array(den, m - 1, q).astype(np.uint64) % q.astype(np.uint64)).astype(np.int64)
             nz = tm != 0
-            orders[new] = 0
-            orders[new[nz]] = residue_orders(tm[nz], q[nz], (m,))[m]
-        return orders[at]
+            out = np.zeros(len(q), dtype=np.int64)
+            out[nz] = residue_orders(tm[nz], q[nz], (m,))[m]
+            return out
+
+        return self._memo(("symord", m, t), ps, orders)
+
+    def character(self, x: Fraction | int, ps: np.ndarray, k: int, pi=None) -> np.ndarray:
+        """e with (x/p)_k = ζ^e at each p in ps (primes of the segment prime to x's
+        numerator and denominator): k = 2, ζ = -1, the Legendre symbol; k = 4 or 3 at
+        primes split in -4 or -3, the quartic or cubic symbol over the primary π = a + bi
+        or a + bω (pi, the arrays a and b at ps), ζ = i or ω.  Read off the characters of
+        the bases of the numerator and denominator (``_bases``): -1 and 2 in closed form,
+        every other base by one Euler power per segment, k and base, whatever the twist
+        it comes from."""
+        x = Fraction(x)
+        e = np.zeros(len(ps), dtype=np.int64)
+        for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+            for base, mult in _bases(n):
+                e += sign * mult * self._base_character(base, ps, k, pi)
+        return e % k
+
+    def _base_character(self, base: int, ps: np.ndarray, k: int, pi) -> np.ndarray:
+        """``character`` of one base: -1, 2, or a positive integer with no factor 2."""
+        if base == -1:  # (-1/p) = (-1)^((p-1)/2), (-1/π)_4 = (-1)^((p-1)/4), (-1/π)_3 = 1
+            return np.zeros(len(ps), dtype=np.int64) if k == 3 else (ps - 1) // k % 2 * (k // 2)
+        if base == 2 and k == 2:  # (2/p) = -1 exactly at p ≡ ±3 (mod 8)
+            return np.isin(ps % 8, (3, 5)).astype(np.int64)
+        if base == 2:  # (2/π)_4 = i^(-b/2) (``closed_form_two``); (2/π)_3 ≡ π (mod 2)
+            a, b = pi  # the units 1, ω, ω² ≡ 1 + ω mod 2
+            return -b // 2 % 4 if k == 4 else b % 2 * (1 + a % 2)
+
+        def euler(new):
+            q = ps[new]
+            x = mod_array(base, q)
+            if k == 2:
+                return (pow_array(x, (q - 1) // 2, q) != 1).astype(np.int64)
+            return symbol_exponents(x, pi[0][new], pi[1][new], q, k)
+
+        return self._memo(("character", k, base), ps, euler)
 
     def traces(
         self, spec: CurveSpec, table: dict[int, CurveModel] | None = None, modulus: int = 1
@@ -327,16 +397,14 @@ class Segment:
         keep = (ps - 1) % modulus == 0
         keep[keep] = mod_array(spec.bad_product(table), ps[keep]) != 0
         ps, x, y = ps[keep], x[keep], y[keep]
-        tn, td = t.numerator, t.denominator
         if d == -4:
             a, b = _gaussian_primary(x, y)
-            e = symbol_exponents(mod_array(tn * td**3, ps), a, b, ps, 4)  # (t/π)_4 = i^e
-            return ps, np.choose(e, [2 * a, 2 * b, -2 * a, -2 * b])
+            return ps, np.choose(self.character(t, ps, 4, (a, b)), [2 * a, 2 * b, -2 * a, -2 * b])  # (t/π)_4 = i^e
         if d == -3:
             a, b = _eisenstein_primary(x, y)
-            e = symbol_exponents(mod_array(tn * td**2, ps), a, b, ps, 3)  # (t/π)_3 = ω^e
+            e = self.character(t, ps, 3, (a, b))  # (t/π)_3 = ω^e
             trace = np.choose(e, [2 * a - b, -a - b, 2 * b - a])  # Tr(ω^e·π)
-            return ps, -legendre_array(tn * td, ps) * trace
+            return ps, np.where(self.character(t, ps, 2) == 1, trace, -trace)  # -(t/p)·trace
         # the base trace of the shipped model (``curves._base_trace``) from Legendre tables
         if d == -8:  # (-2/x)·2x, negated when y ≡ 2 (mod 4)
             chi = np.array([jacobi(-2, r) if r % 2 else 0 for r in range(8)])
@@ -345,7 +413,7 @@ class Segment:
             chi = np.array([jacobi(r, -d) for r in range(-d)])
             base = (1 if d == -7 else -1) * chi[x % -d] * x
         s = -t if d == -7 else t
-        return ps, legendre_array(s.numerator * s.denominator * twist, ps) * base
+        return ps, np.where(self.character(s * twist, ps, 2) == 1, -base, base)  # (s·twist/p)·base
 
     def good_traces(
         self, spec: CurveSpec, table: dict[int, CurveModel] | None = None

@@ -7,8 +7,9 @@ number-theoretic helpers here are deliberately hand-rolled: ``jacobi`` and
 ``sqrt_mod`` sit on the hot path of every per-prime computation and must
 cost microseconds, not library-call overhead.
 Factorisation (``_factorint``: twist parameters, moduli and their divisors,
-Euler phi) trial-divides by the sieve's own primes below 10⁶.  Whatever is
-left has no prime factor below 10⁶, so below 10¹⁸ it is 1, q, q² or q·r,
+Euler phi) trial-divides by the sieve's own primes below 10⁶ (``_trial_divide``,
+which also splits the engine's character arguments of any size).  Whatever
+is left has no prime factor below 10⁶, so below 10¹⁸ it is 1, q, q² or q·r,
 and ``isqrt`` and ``is_prime`` tell these apart; past that, ValueError.
 
 Conventions used throughout the package:
@@ -246,11 +247,10 @@ def _trial_primes(bits: int) -> tuple[int, ...]:
     return tuple(prime_array(2, min(1 << bits, _TRIAL)).tolist())
 
 
-def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
-    """{q: e} with n = ∏ q^e for n >= 1, q increasing.  Trial division by the primes
-    below 10⁶ leaves a cofactor c with no prime factor below 10⁶, so c < 10¹⁸ is 1,
-    q, q² or q·r; q·r is kept whole, as {q·r: 1}, if ``semiprime_ok``.  Otherwise,
-    and for c >= 10¹⁸, ValueError."""
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({q: e}, c) with n = c·∏ q^e for n >= 1, q the primes below 10⁶ that trial
+    division takes out before q² > c: the cofactor c is 1, a prime, or of any size
+    with no prime factor below 10⁶ (and then c >= 10¹²)."""
     out = {}
     for q in _trial_primes(isqrt(n).bit_length()):
         if q * q > n:
@@ -261,11 +261,20 @@ def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
             e += 1
         if e:
             out[q] = e
-    else:
+    return out, n
+
+
+def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
+    """{q: e} with n = ∏ q^e for n >= 1, q increasing.  Trial division by the primes
+    below 10⁶ leaves a cofactor c with no prime factor below 10⁶, so c < 10¹⁸ is 1,
+    q, q² or q·r; q·r is kept whole, as {q·r: 1}, if ``semiprime_ok``.  Otherwise,
+    and for c >= 10¹⁸, ValueError."""
+    out, n = _trial_divide(n)
+    if n >= _TRIAL**2:  # below 10¹², n is 1 or prime
         r = isqrt(n)
         if n >= _TRIAL**3 or not (r * r == n or semiprime_ok or is_prime(n)):
             raise ValueError(f"cannot factor {n}: no prime factor below 10⁶, and past 10¹⁸ or two above it")
-        if n > 1 and r * r == n:
+        if r * r == n:
             return out | {r: 2}
     if n > 1:
         out[n] = 1

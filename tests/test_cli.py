@@ -139,6 +139,43 @@ def test_conjecture_product_rule_rows(capsys):
     assert sources == ["scaling"] * 4 + ["product-rule"] * 4
 
 
+# t = 10³⁰ + 57 is prime and past the factoring limit: the scan splits it into
+# no prime below 10⁶ and one cofactor, its own Euler base.  Frozen rows, after
+# "d,t,m," (N is 553, 556 and 1124).
+HUGE_T_ROWS = {
+    (-7, 4): [
+        "1,,553,0.262206148,0.248643761,scaling,0.7379,pass",
+        "2,,553,0.235081374,0.248643761,scaling,-0.7379,pass",
+        "4,,553,0.502712477,0.502712477,scaling,0.0000,pass",
+    ],
+    (-4, 8): [
+        "1,,556,0.267985612,0.234712230,scaling,1.8512,pass",
+        "2,,556,0.201438849,0.234712230,scaling,-1.8512,pass",
+        "4,,556,0.530575540,0.530575540,scaling,0.0000,pass",
+        "8,,556,0.000000000,0.000000000,scaling,,pass",
+    ],
+    (-3, 6): [
+        "1,,1124,0.274021352,0.274021352,scaling,0.0000,pass",
+        "2,,1124,0.282918149,0.282918149,scaling,0.0000,pass",
+        "3,,1124,0.217081851,0.217081851,scaling,0.0000,pass",
+        "6,,1124,0.225978648,0.225978648,scaling,0.0000,pass",
+        "1,,1124,0.274021352,0.273514773,product-rule,0.0381,pass",
+        "2,,1124,0.282918149,0.283424729,product-rule,-0.0377,pass",
+        "3,,1124,0.217081851,0.217588430,product-rule,-0.0412,pass",
+        "6,,1124,0.225978648,0.225472068,product-rule,0.0406,pass",
+    ],
+}
+
+
+@pytest.mark.parametrize("d, m", list(HUGE_T_ROWS))
+def test_conjecture_twist_past_the_factoring_limit(capsys, d, m):
+    code, out, err = run(capsys, "conjecture", "--d", str(d), "--t", str(10**30 + 57), "--m", str(m), "--pmax", "20000")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "d,t,m,n,set,N,empirical,predicted,source,z,verdict"
+    assert lines[1:] == [f"{d},{10**30 + 57},{m},{row}" for row in HUGE_T_ROWS[(d, m)]]
+
+
 def test_verify_suite_payload(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "two-factor", "--pmax", "3000")
     assert code == 0

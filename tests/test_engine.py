@@ -254,6 +254,104 @@ def test_divisors_and_exponents_match_the_scalar_route():
             assert got.tolist() == [scalar(x, pi, p) for pi, p in zip(pis, ps.tolist())]
 
 
+HUGE = 10**30 + 57  # prime, past the factoring limit: its own Euler base
+CHAR_ARGS = (1, -1, 2, -2, 3, 6, -8, 12, 1_000_003, 1_000_003 * 1_000_033, HUGE)
+
+
+def _divisors_of(d, ps, convention="two-mod-three"):
+    split = split_prime if d == -4 else lambda p: split_prime_eis(p, convention)
+    return [split(p) for p in ps.tolist()]
+
+
+@pytest.mark.parametrize("bounds", [(3, 30_000), (10**6, 10**6 + 40_000), EDGE])
+def test_character_matches_the_scalar_symbols(bounds):
+    # the second segment holds 1000003 and 1000033, which divide two of the
+    # arguments: the character is asked for only at the primes prime to them
+    seg = Segment(*bounds)
+    for k, d, scalar in ((2, None, None), (4, -4, quartic_exponent), (3, -3, cubic_exponent)):
+        ps = seg.primes[seg.primes % 2 == 1] if d is None else seg.form(d)[0]
+        pis = None if d is None else _divisors_of(d, ps)
+        for n in CHAR_ARGS:
+            keep = [n % p != 0 for p in ps.tolist()]
+            q = ps[keep]
+            got = seg.character(n, q, k, None if d is None else seg.primary(d, q)).tolist()
+            if d is None:
+                assert [(-1) ** e for e in got] == [jacobi(n, p) for p in q.tolist()], (n, k)
+            else:
+                want = [scalar(n, pi, p) for pi, p, kept in zip(pis, ps.tolist(), keep) if kept]
+                assert got == want, (n, k)
+            assert len(q) > 100
+
+
+def test_character_of_a_rational_matches_the_scalar_symbols():
+    seg = Segment(3, 30_000)
+    for k, d, scalar in ((2, -7, None), (4, -4, quartic_exponent), (3, -3, cubic_exponent)):
+        ps = seg.form(d)[0]
+        for t in (Fraction(3, 4), Fraction(-1_000_003, 12), Fraction(2, HUGE), Fraction(-8, 1_000_003 * 1_000_033)):
+            q = ps[[bool(t.numerator % p and t.denominator % p) for p in ps.tolist()]]
+            got = seg.character(t, q, k, None if scalar is None else seg.primary(d, q)).tolist()
+            if scalar is None:
+                assert [(-1) ** e for e in got] == [jacobi(t.numerator * t.denominator, p) for p in q.tolist()], t
+            else:
+                assert got == [scalar(t, pi, p) for pi, p in zip(_divisors_of(d, q), q.tolist())], (t, k)
+
+
+def test_huge_and_rational_twists_through_traces():
+    seg = Segment(2, 30_000)
+    for d in DISCRIMINANTS:
+        for t in (Fraction(HUGE), Fraction(-HUGE, 12), Fraction(1_000_003, 1_000_033), Fraction(-8, 1_000_003 * 1_000_033)):
+            spec = CurveSpec(d, t)
+            ps, a = seg.traces(spec)
+            assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000), (d, t)
+
+
+def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
+    # (-1/p), (2/p), (-1/π)_4, (2/π)_4 = i^(-b/2), (-1/π)_3 = 1 and (2/π)_3 ≡ π (mod 2)
+    # at every prime below 10⁶ where they are defined, with no modular power;
+    # (2/π)_3 under both conventions, whose divisors differ by a sign
+    seg = Segment(3, 10**6)
+    powers = []
+
+    def counting_pow(base, exp, ps):
+        powers.append(len(ps))
+        return pow_array(base, exp, ps)
+
+    for k, d, convention in ((2, -4, None), (4, -4, None), (3, -3, "two-mod-three"), (3, -3, "one-mod-three")):
+        ps = seg.primes if k == 2 else seg.form(d)[0]
+        pi = None if k == 2 else seg.primary(d, ps, convention or "two-mod-three")
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "pow_array", counting_pow)
+            got = [seg.character(n, ps, k, pi) for n in (-1, 2)]
+        assert powers == []
+        for n, e in zip((-1, 2), got):
+            x = n % ps
+            want = (pow_array(x, (ps - 1) // 2, ps) != 1).astype(np.int64) if k == 2 else symbol_exponents(x, *pi, ps, k)
+            assert e.tolist() == want.tolist(), (n, k, convention)
+            assert len(set(e.tolist())) == {(-1, 3): 1, (-1, 4): 2}.get((n, k), k)  # every value occurs
+
+
+def test_one_euler_power_per_base_and_segment(monkeypatch):
+    # 3, 6, 12, -3/4 and 1/3 share the base 3, so each k powers it once at each
+    # prime asked for; asking again, or at a subset, takes no power
+    seg = Segment(3, 60_000)
+    full = []
+
+    def counting_pow(base, exp, ps):
+        if isinstance(exp, np.ndarray):
+            full.append(len(ps))
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    for k, d in ((2, -7), (4, -4), (3, -3)):
+        ps = seg.form(d)[0][1:]
+        pi = None if k == 2 else seg.primary(d, ps)
+        for t in (Fraction(3), Fraction(6), Fraction(12), Fraction(-3, 4), Fraction(1, 3)):
+            seg.character(t, ps, k, pi)
+            seg.character(t, ps[::2], k, None if k == 2 else (pi[0][::2], pi[1][::2]))
+        assert full == [len(ps)], k
+        full.clear()
+
+
 def _set_exprs():
     exprs = []
     for t in (Fraction(1), Fraction(3), Fraction(-2), Fraction(5, 3)):
@@ -359,7 +457,10 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
             keep &= set_mask(it.extra, ps, seg)
         tallied |= set(zip(ps[keep].tolist(), (np.abs(a[keep]) % ps[keep]).tolist()))
     assert sorted(powered) == sorted(tallied)  # each pair once
-    assert sum(len(ps) for _, ps, _ in full) <= 85_708  # 126 628 with one power per (d, t)
+    # the twists' characters add one power each for (3/p) and (3/π)_4, over the
+    # primes asked for
+    assert len(full) <= 12
+    assert sum(len(ps) for _, ps, _ in full) <= 27_694
 
 
 def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
@@ -377,6 +478,24 @@ def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
     checked, found = density._check_segment("nine-cells", check, ((-4,), (Fraction(3),), 0, None), 10, (5, 20_000))
     assert checked > 0 and found == []
     assert len(full) == 4
+
+
+def test_suites_catch_a_wrong_character_in_the_table(monkeypatch):
+    # the suites' claimed side takes (t/p) and (t/π)_3 from its own Euler powers
+    # of t, so a wrong character for 3 in the segment's table cannot cancel
+    character = Segment._base_character
+
+    def wrong_for_three(self, base, ps, k, pi):
+        e = character(self, base, ps, k, pi)
+        return (e + 1) % k if base == 3 else e
+
+    clean = [density.verify_suite("quadratic", ts=(3,), p_max=20_000), density.verify_suite("cubic", ts=(2, 3), p_max=20_000)]
+    assert all(res.ok() for res in clean)
+    monkeypatch.setattr(Segment, "_base_character", wrong_for_three)
+    quadratic = density.verify_suite("quadratic", ts=(3,), p_max=20_000)
+    cubic = density.verify_suite("cubic", ts=(2, 3), p_max=20_000)
+    assert quadratic.checked == clean[0].checked and len(quadratic.violations) > 100
+    assert cubic.checked == clean[1].checked and len(cubic.violations) > 100
 
 
 # ---------------------------------------------------------------------------

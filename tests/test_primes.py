@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cmresidues.density import _segments
 from cmresidues.primes import (
     _divisors,
+    _trial_divide,
     euler_phi,
     is_prime,
     jacobi,
@@ -194,6 +195,16 @@ def test_factoriser_refuses_past_1e18():
             euler_phi(n)
     with pytest.raises(ValueError, match="cannot factor"):
         kfree_reduce(Fraction(1, big), 3)
+
+
+@pytest.mark.parametrize("n", [1, 14, 2**90, 10**30 + 57, 2**5 * 3 * (10**30 + 57), 12 * Q * R, 7**25 * (3**43 + 4)])
+def test_trial_division_splits_any_size(n):
+    # primes below 10⁶ and one cofactor: 1, a prime, or past 10¹² with no prime
+    # factor below 10⁶, whatever its size (the engine's character bases)
+    small, rest = _trial_divide(n)
+    assert math.prod(q**e for q, e in small.items()) * rest == n
+    assert all(q < 10**6 and sympy.isprime(q) for q in small)
+    assert rest == 1 or sympy.isprime(rest) or (rest >= 10**12 and min(_factor(rest)) > 10**6)
 
 
 # -- rational reductions ----------------------------------------------------
