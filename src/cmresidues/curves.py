@@ -171,12 +171,21 @@ def default_table() -> dict[int, CurveModel]:
 # Naive point counts (the oracle route)
 
 
+def _reduce(v: np.ndarray, p: int) -> np.ndarray:
+    """v mod p in place for int64 v >= 0, as v - (v // p)·p: numpy divides an array by a
+    scalar on a fast path that its remainder does not take."""
+    q = v // p
+    q *= p  # in place, so the reduction holds one temporary
+    v -= q
+    return v
+
+
 @lru_cache(maxsize=1)  # callers count one prime for many curves, then move on
 def _chi_table(p: int) -> np.ndarray:
     """chi[v] = quadratic character of v mod p (0 at 0), as int8."""
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int8)
-    chi[xs * xs % p] = 1
+    chi[_reduce(xs * xs, p)] = 1
     chi[0] = 0
     return chi
 
@@ -188,8 +197,8 @@ def _count_cubic(rows, p: int) -> np.ndarray:
         raise ValueError(f"naive count at p = {p} is past its int64-safe limit {_NAIVE_LIMIT}")
     chi = _chi_table(p)
     xs = np.arange(p, dtype=np.int64)
-    x2 = xs * xs % p
-    x3 = x2 * xs % p
+    x2 = _reduce(xs * xs, p)
+    x3 = _reduce(x2 * xs, p)
     coeffs = np.array([[c % p for c in row] for row in rows], dtype=np.int64).reshape(-1, 4, 1)
     out = np.empty(len(coeffs), dtype=np.int64)
     step = max(1, _NAIVE_BLOCK // p)
@@ -199,8 +208,7 @@ def _count_cubic(rows, p: int) -> np.ndarray:
         fx += c2 * x2
         fx += c1 * xs
         fx += c0
-        fx %= p
-        out[i : i + step] = -chi[fx].sum(axis=1)
+        out[i : i + step] = -chi[_reduce(fx, p)].sum(axis=1)
     return out
 
 

@@ -34,7 +34,6 @@ import signal
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import gcd
 from multiprocessing import get_context
 
@@ -49,7 +48,6 @@ from .engine import (
     legendre_array,
     mod_array,
     pow_array,
-    residue_orders,
     set_mask,
     symbol_exponents,
 )
@@ -695,20 +693,24 @@ ORACLE_BOUND = 20_000  # trace-oracle's default: the split p it point-counts
 # scalar implementation.
 
 
-def _naive_by_prime(cases, table) -> list[np.ndarray]:
-    """``ap_naive(spec, p, table)`` at every p of each (spec, ps) case, counted prime-major:
-    one ``naive_traces`` batch per prime for all the cases that reach it."""
-    at: dict[int, list[int]] = {}  # p -> the cases that reach it
-    for c, (_, ps) in enumerate(cases):
-        for p in ps.tolist():
-            at.setdefault(p, []).append(c)
-    out = [np.empty(len(ps), dtype=np.int64) for _, ps in cases]
-    filled = [0] * len(cases)  # each case's ps ascend, and so do the primes below
-    for p in sorted(at):
-        for c, a in zip(at[p], naive_traces([cases[c][0] for c in at[p]], p, table).tolist()):
-            out[c][filled[c]] = a
-            filled[c] += 1
+def _by_prime(cases, values) -> list[list]:
+    """``values(keys, p)`` at every p of each (key, ps) case, prime-major: one call per
+    prime with the keys of the cases that reach it, in case order.  One list per case,
+    aligned with its ps, so a per-prime cost (a naive count's character table, a split)
+    is paid once for all the cases."""
+    lists = [ps.tolist() for _, ps in cases]
+    out: list[list] = [[] for _ in cases]
+    for p in sorted(set().union(*lists)):
+        here = [c for c, ps in enumerate(lists) if len(out[c]) < len(ps) and ps[len(out[c])] == p]
+        for c, v in zip(here, values([cases[c][0] for c in here], p)):
+            out[c].append(v)
     return out
+
+
+def _naive_by_prime(cases, table) -> list[list[int]]:
+    """``ap_naive(spec, p, table)`` at every p of each (spec, ps) case: one
+    ``naive_traces`` batch per prime for all the cases that reach it."""
+    return _by_prime(cases, lambda specs, p: naive_traces(specs, p, table).tolist())
 
 
 def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
@@ -718,12 +720,13 @@ def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
     the traces), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
     """
     cases, rhs = [], []
-    for d, t in product(ds, ts):
-        spec = CurveSpec(d, t)
-        ps, a = seg.good_traces(CurveSpec(d), table)
-        good = mod_array(spec.bad_product(table), ps) != 0
-        cases.append((spec, ps[good]))
-        rhs.append(legendre_array(t.numerator * t.denominator, ps[good]) * a[good])
+    for d in ds:
+        ps, a = seg.good_traces(CurveSpec(d), table)  # E_1's, for every twist of d
+        for t in ts:
+            spec = CurveSpec(d, t)
+            good = mod_array(spec.bad_product(table), ps) != 0
+            cases.append((spec, ps[good]))
+            rhs.append(legendre_array(t.numerator * t.denominator, ps[good]) * a[good])
     for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases, table))):
         rec.check(c, ps, expected, naive)
 
@@ -755,15 +758,21 @@ def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
     d ≠ -4: (a_p/p) = (d/p)_4 (Euler) for p ≡ 1 (mod 4) and -(t/p) for
     p ≡ 3 (mod 4).  d = -4: +1 for p ≡ 1 (mod 8) and -(t/p) for p ≡ 5 (mod 8).
     """
-    for c, (d, t) in enumerate(product(ds, ts)):
-        ps, a = seg.traces(CurveSpec(d, t), table)
-        minus_t = -legendre_array(t.numerator * t.denominator, ps)
-        if d == -4:
-            expected = np.where(ps % 8 == 1, 1, minus_t)
-        else:
-            quartic_d = pow_array(mod_array(d, ps), (ps - 1) // 4, ps) == 1
-            expected = np.where(ps % 4 == 1, np.where(quartic_d, 1, -1), minus_t)
-        rec.check(c, ps, expected, np.where(residue_orders(a, ps, (2,))[2] == 1, 1, -1))
+    for i, d in enumerate(ds):
+        split = seg.form(d)[0]
+        if d != -4:  # (d/p)_4 = 1 at the split p ≡ 1 (mod 4): one Euler power per d
+            one = split % 4 == 1
+            quartic_d = np.zeros(len(split), dtype=bool)
+            quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
+        orders_of = TwistOrders(split if len(ts) > 1 else None, 2)
+        for j, t in enumerate(ts):
+            ps, a = seg.traces(CurveSpec(d, t), table)
+            minus_t = -legendre_array(t.numerator * t.denominator, ps)
+            if d == -4:
+                expected = np.where(ps % 8 == 1, 1, minus_t)
+            else:
+                expected = np.where(ps % 4 == 1, np.where(quartic_d[np.searchsorted(split, ps)], 1, -1), minus_t)
+            rec.check(i * len(ts) + j, ps, expected, np.where(orders_of(ps, a, (2,))[2] == 1, 1, -1))
 
 
 def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVENTION):
@@ -798,10 +807,11 @@ def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
+    orders_of = TwistOrders(seg.form(-3)[0] if len(ts) > 1 else None, 6)
     for c, t in enumerate(ts):
         ps, a = seg.traces(CurveSpec(-3, t), table)
         rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
-        rec.check(c, ps, rhs, residue_orders(a, ps, (6,))[6] == 1)
+        rec.check(c, ps, rhs, orders_of(ps, a, (6,))[6] == 1)
 
 
 def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):
@@ -852,9 +862,10 @@ def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
     cell's, and — on the p ≡ 1 (mod 8) cells — that the symbol value itself
     matches.
     """
-    for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-4, t), table)
-        cells = [quartic_cell(p, t) for p in ps.tolist()]
+    traces = [seg.traces(CurveSpec(-4, t), table) for t in ts]
+    # prime-major, so that ``split_prime`` splits each p once for all the twists
+    claimed = _by_prime([(t, ps) for t, (ps, _) in zip(ts, traces)], lambda tp, p: [quartic_cell(p, t) for t in tp])
+    for c, (t, (ps, a), cells) in enumerate(zip(ts, traces, claimed)):
         masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in _CELLS]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
         rec.check(c, ps, [1 << _CELLS.index(cell) for cell in cells], member, show=_cell_list)

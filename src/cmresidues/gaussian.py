@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .primes import Rational, cornacchia, jacobi, reduce_mod
 
@@ -95,6 +96,7 @@ def primary_associate(z: GaussInt) -> GaussInt:
     raise ValueError(f"no primary associate of {z}")  # unreachable for odd norm
 
 
+@lru_cache(maxsize=1)  # callers ask about one prime for many twists, then move on
 def split_prime(p: int) -> GaussInt:
     """Canonical primary divisor of p ≡ 1 (mod 4) in Z[i], imaginary part > 0.
 

@@ -10,7 +10,8 @@ Factorisation (``_factorint``: twist parameters, moduli and their divisors,
 Euler phi) trial-divides by the sieve's own primes below 10⁶ (``_trial_divide``,
 which also splits the engine's character arguments of any size).  Whatever
 is left has no prime factor below 10⁶, so below 10¹⁸ it is 1, q, q² or q·r,
-and ``isqrt`` and ``is_prime`` tell these apart; past that, ValueError.
+and ``isqrt`` and ``is_prime`` tell these apart; past that, only a cofactor that
+``is_prime`` passes is factored, and any other raises ValueError.
 
 Conventions used throughout the package:
 
@@ -266,13 +267,13 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
     """{q: e} with n = ∏ q^e for n >= 1, q increasing.  Trial division by the primes
-    below 10⁶ leaves a cofactor c with no prime factor below 10⁶, so c < 10¹⁸ is 1,
-    q, q² or q·r; q·r is kept whole, as {q·r: 1}, if ``semiprime_ok``.  Otherwise,
-    and for c >= 10¹⁸, ValueError."""
+    below 10⁶ leaves a cofactor c with no prime factor below 10⁶: 1, a prime that
+    ``is_prime`` passes, of any size, or below 10¹⁸ q² or q·r; q·r is kept whole, as
+    {q·r: 1}, if ``semiprime_ok``.  Any other c raises ValueError."""
     out, n = _trial_divide(n)
-    if n >= _TRIAL**2:  # below 10¹², n is 1 or prime
+    if n >= _TRIAL**2 and not is_prime(n):  # below 10¹², n is 1 or prime
         r = isqrt(n)
-        if n >= _TRIAL**3 or not (r * r == n or semiprime_ok or is_prime(n)):
+        if n >= _TRIAL**3 or not (r * r == n or semiprime_ok):
             raise ValueError(f"cannot factor {n}: no prime factor below 10⁶, and past 10¹⁸ or two above it")
         if r * r == n:
             return out | {r: 2}

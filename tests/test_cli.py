@@ -176,6 +176,21 @@ def test_conjecture_twist_past_the_factoring_limit(capsys, d, m):
     assert lines[1:] == [f"{d},{10**30 + 57},{m},{row}" for row in HUGE_T_ROWS[(d, m)]]
 
 
+def test_density_twist_with_a_huge_prime_cofactor(capsys):
+    # a prime past 10¹⁸ is its own squarefree part, so the table applies; the same
+    # primes are eligible as in conjecture, which needs no table
+    argv = ("--d", "-7", "--t", str(10**30 + 57), "--m", "2", "--pmax", "300000")
+    code, out, err = run(capsys, "density", *argv)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[5], r[7], r[8], r[10]) for r in rows] == [("12978", "1/2", "quadratic-table", "pass")] * 2
+    code, out, _ = run(capsys, "conjecture", *argv)
+    assert code == 0 and {line.split(",")[5] for line in out.splitlines()[1:]} == {"12978"}
+    # a composite with no factor below 10⁶, past 10¹⁸, is still refused
+    code, out, err = run(capsys, "density", "--d", "-7", "--t", str((10**9 + 7) * (10**9 + 9)), "--m", "2")
+    assert code == 2 and out == "" and "cannot factor" in err
+
+
 def test_verify_suite_payload(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "two-factor", "--pmax", "3000")
     assert code == 0
@@ -397,11 +412,11 @@ def test_config_file_missing(capsys):
         (["verify", "--suite", "trace-oracle", "--pmax", "2000004", "--oracle-bound", "3000000"],
          "int64-safe limit"),
         (["verify", "--suite", "two-factor", "--pmax", "200", "--format", "csv"], "verify does not take --format csv"),
-        # past the factoring limit: (3·10²² + 29)(10²² + 9), a prime past 10¹⁸, and
+        # past the factoring limit: (3·10²² + 29)(10²² + 9), (10⁹ + 7)(10⁹ + 9), and
         # 1000003 · 1000033, which φ and the divisors of m would have to split
         (["density", "--d", "-7", "--m", "2", "--t", "300000000000000000000560000000000000000000261"],
          "cannot factor"),
-        (["density", "--d", "-7", "--m", "2", "--t", "1/1000000000000000003"], "cannot factor"),
+        (["density", "--d", "-7", "--m", "2", "--t", "1/1000000016000000063"], "cannot factor"),
         (["density", "--d", "-7", "--m", "1000036000099", "--pmax", "2000"], "cannot factor"),
         (["density", "--d", "-7", "--m", "2", "--pmax", "2000", "--set", "mod(100000000000000000000;1)"],
          "past the engine's limit 2**32"),

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from sympy import factorint
 
@@ -20,8 +21,10 @@ from cmresidues.curves import (
     CurveModel,
     CurveSpec,
     _NAIVE_BLOCK,
+    _NAIVE_LIMIT,
     _count_cubic,
     _chi_table,
+    _reduce,
     ap,
     ap_naive,
     ap_order,
@@ -347,6 +350,19 @@ def _count_by_hand(spec, p, table):
             fx = s * ((m.a1 * x + m.a3) ** 2 + 4 * (x**3 + m.a2 * x**2 + m.a4 * x + m.a6))
         total -= _euler(fx, p)
     return total
+
+
+def test_naive_reduction_at_its_edges():
+    # floor-division reduction of the count's values, 0 <= v <= 4(p - 1)² + p - 1,
+    # at the largest prime under the naive limit
+    p = 1_999_993
+    assert p < _NAIVE_LIMIT < 2_000_003
+    values = [0, p - 1, p, 4 * (p - 1) ** 2 + p - 1]
+    assert _reduce(np.array(values, dtype=np.int64), p).tolist() == [v % p for v in values]
+    # the cubic with every coefficient p - 1 takes the largest values the count meets
+    for q in (1_009, 1_493, 1_777, 1_951, 1_999, 65_521):
+        by_hand = -sum(_euler(-(x**3 + x**2 + x + 1), q) for x in range(q))
+        assert _count_cubic([(q - 1,) * 4], q).tolist() == [by_hand], q
 
 
 def test_naive_traces_match_a_count_by_hand():

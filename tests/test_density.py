@@ -16,12 +16,13 @@ from fractions import Fraction
 from multiprocessing import active_children
 from multiprocessing.context import ForkProcess
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import n_order
 
-from cmresidues import density
+from cmresidues import density, gaussian
 from cmresidues.curves import CurveModel, CurveSpec, ap, ap_naive, default_table
 from cmresidues.density import (
     GAP_MAX,
@@ -50,9 +51,19 @@ from cmresidues.density import (
     trivial_symbol_density,
     verify_suite,
 )
+from cmresidues.engine import legendre_array, mod_array, pow_array, residue_orders, set_mask, symbol_exponents
 from cmresidues.gaussian import split_prime
-from cmresidues.prime_sets import CongMod, G8, SymOrder, classify, parse_set
-from cmresidues.primes import jacobi, primes_in_range
+from cmresidues.prime_sets import (
+    CongMod,
+    G8,
+    QuarticCell,
+    SymOrder,
+    classify,
+    parse_set,
+    quartic_cell,
+    quartic_cell_expr,
+)
+from cmresidues.primes import cornacchia, jacobi, primes_in_range, reduce_mod
 
 # ---------------------------------------------------------------------------
 # Closed-form tables (frozen values; each was cross-checked against scans)
@@ -777,3 +788,99 @@ def test_violation_cap():
 def test_calibrate_eisenstein_both_conventions_clean():
     out = calibrate_eisenstein(p_max=3_000)
     assert out == {"two-mod-three": 0, "one-mod-three": 0}
+
+
+# ---------------------------------------------------------------------------
+# The suites that take a per-prime fact once for all their twists, against the
+# loops they replaced: one (d, t) case at a time, each with its own Euler power
+# (d/p)_4 and its own residue orders, and nine-cells' claimed side p by p within
+# each twist.  Kept as references, as ``_reference_chunk`` is for the engine.
+
+
+def _reference_quadratic(seg, rec, ds, ts, oracle_bound, table):
+    for c, (d, t) in enumerate((d, t) for d in ds for t in ts):
+        ps, a = seg.traces(CurveSpec(d, t), table)
+        minus_t = -legendre_array(t.numerator * t.denominator, ps)
+        if d == -4:
+            expected = np.where(ps % 8 == 1, 1, minus_t)
+        else:
+            quartic_d = pow_array(mod_array(d, ps), (ps - 1) // 4, ps) == 1
+            expected = np.where(ps % 4 == 1, np.where(quartic_d, 1, -1), minus_t)
+        rec.check(c, ps, expected, np.where(residue_orders(a, ps, (2,))[2] == 1, 1, -1))
+
+
+def _reference_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
+    for c, t in enumerate(ts):
+        ps, a = seg.traces(CurveSpec(-3, t), table)
+        rhs = [density._sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
+        rec.check(c, ps, rhs, residue_orders(a, ps, (6,))[6] == 1)
+
+
+def _reference_nine_cells(seg, rec, ds, ts, oracle_bound, table):
+    cells_of = tuple(QuarticCell)
+    for c, t in enumerate(ts):
+        ps, a = seg.traces(CurveSpec(-4, t), table)
+        cells = [quartic_cell(p, t) for p in ps.tolist()]
+        masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in cells_of]
+        member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
+        rec.check(c, ps, [1 << cells_of.index(cell) for cell in cells], member, show=density._cell_list)
+        e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
+        rec.check(c, ps, [cell.trace_symbol_order for cell in cells], np.choose(e, [1, 4, 2, 4]), sub=1)
+        exps = np.array([-1 if cell.trace_symbol_exp is None else cell.trace_symbol_exp for cell in cells])
+        pinned = exps >= 0
+        rec.check(c, ps[pinned], exps[pinned], e[pinned], sub=2)
+
+
+REFERENCE_SUITES = {
+    "quadratic": _reference_quadratic,
+    "sextic-order1": _reference_sextic_order1,
+    "nine-cells": _reference_nine_cells,
+}
+# each twist makes its own primes bad (5, 7, 3 and 5, 3), so the twists' prime lists differ
+UNEVEN_TWISTS = (Fraction(5), Fraction(7, 3), Fraction(-10), Fraction(3, 5))
+
+
+@pytest.mark.parametrize("doctored", [False, True], ids=["shipped", "doctored"])
+@pytest.mark.parametrize("name", list(REFERENCE_SUITES))
+def test_suite_matches_its_per_case_reference(name, doctored, monkeypatch):
+    monkeypatch.setattr(density, "_CHUNK", 7_000)  # three segments
+    table = _doctored_table() if doctored else None
+    ds = density.SUITES[name][1]
+    res = verify_suite(name, ts=UNEVEN_TWISTS, p_max=20_000, table=table)
+    ref = density._run_suite(
+        name, REFERENCE_SUITES[name], (ds, UNEVEN_TWISTS, density.ORACLE_BOUND, table), res.params, 20_000, 1000
+    )
+    assert res.checked > 0
+    assert (res.checked, res.violations) == (ref.checked, ref.violations)
+    if name == "quadratic" and doctored:
+        assert len(res.violations) > 50  # d = -11 flips at every split p ≡ 3 (mod 4), for every twist
+
+
+def test_nine_cells_splits_each_prime_once(monkeypatch):
+    # the claimed cells go prime-major, so split_prime's one-entry cache serves
+    # every twist of p: one Cornacchia split per p ≡ 1 (mod 8), not one per (p, t)
+    calls = []
+
+    def counting(D, p):
+        calls.append(p)
+        return cornacchia(D, p)
+
+    monkeypatch.setattr(gaussian, "cornacchia", counting)
+    split_prime.cache_clear()
+    assert verify_suite("nine-cells", p_max=20_000).ok()
+    assert sorted(calls) == [p for p in primes_in_range(5, 20_000) if p % 8 == 1]
+
+
+def test_quadratic_powers_each_d_once_per_segment(monkeypatch):
+    # (d/p)_4 depends on d alone: one Euler power per d ≠ -4 and segment, whatever the twists
+    calls = []
+
+    def counting(base, exp, ps):
+        calls.append(len(ps))
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(density, "pow_array", counting)
+    monkeypatch.setattr(density, "_CHUNK", 5_000)  # four segments
+    res = verify_suite("quadratic", p_max=20_000)
+    assert res.ok() and len(res.params["ts"]) == 3
+    assert len(calls) == 8 * 4

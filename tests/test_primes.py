@@ -187,14 +187,22 @@ def test_factoriser_keeps_a_two_prime_block_whole_for_reduction_only():
 
 
 def test_factoriser_refuses_past_1e18():
-    big = sympy.nextprime(10**18)  # no prime factor below 10⁶, past 10¹⁸
-    for n in (big, 2 * big, sympy.nextprime(10**9) ** 2, Q * R * R):
+    # composite, no prime factor below 10⁶, past 10¹⁸
+    for n in ((10**9 + 7) * (10**9 + 9), 2 * (10**9 + 7) * (10**9 + 9), sympy.nextprime(10**9) ** 2, Q * R * R):
         with pytest.raises(ValueError, match="cannot factor"):
             kfree_reduce(n, 2)
         with pytest.raises(ValueError, match="cannot factor"):
             euler_phi(n)
     with pytest.raises(ValueError, match="cannot factor"):
-        kfree_reduce(Fraction(1, big), 3)
+        kfree_reduce(Fraction(1, Q * R * R), 3)
+
+
+@pytest.mark.parametrize("big", [sympy.nextprime(10**18), 10**30 + 57])
+def test_factoriser_takes_a_prime_cofactor_past_1e18(big):
+    # is_prime passes it (exactly below ψ₁₂ ≈ 3.2·10²³, as a strong probable prime above)
+    assert sympy.isprime(big)
+    for n in (big, 2 * big, 6 * 7**3 * big):
+        _check_against_sympy(n)
 
 
 @pytest.mark.parametrize("n", [1, 14, 2**90, 10**30 + 57, 2**5 * 3 * (10**30 + 57), 12 * Q * R, 7**25 * (3**43 + 4)])
