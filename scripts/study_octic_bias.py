@@ -11,7 +11,9 @@ merged, so the total cost is one pass to the final height).
 
 Columns: eligible N, octic order-1/2 densities, quartic-trivial density,
 their gap, and the gap in units of its binomial sigma sqrt(q/N) (the
-standard deviation of d1 - d2 given the quartic-trivial mass q).
+standard deviation of d1 - d2 given the quartic-trivial mass q).  A height
+with N = 0 prints only N, and one with q = 0 no gap/sigma; the script exits 1
+if the final N is 0.
 
 Usage: python3 scripts/study_octic_bias.py [--heights 1e7 2e7 4e7 6e7]
 """
@@ -44,16 +46,15 @@ def main(argv=None) -> int:
         acc = res if acc is None else (acc.merge(res) or acc)
         lo = hi
         N = acc.total
-        d1, d2 = acc.count(8, 1) / N, acc.count(8, 2) / N
-        q = acc.count(4, 1) / N
-        sigma = math.sqrt(q / N)
-        print(
-            f"x={hi:.0e}: N={N} d8_1={d1:.6f} d8_2={d2:.6f} q4_1={q:.6f} "
-            f"gap={d1 - d2:.6f} gap/sigma={(d1 - d2) / sigma:.2f} "
-            f"[{time.time() - t0:.0f}s]",
-            flush=True,
-        )
-    return 0
+        line = f"x={hi:.0e}: N={N}"
+        if N:
+            d1, d2 = acc.count(8, 1) / N, acc.count(8, 2) / N
+            q = acc.count(4, 1) / N
+            line += f" d8_1={d1:.6f} d8_2={d2:.6f} q4_1={q:.6f} gap={d1 - d2:.6f}"
+            if q:
+                line += f" gap/sigma={(d1 - d2) / math.sqrt(q / N):.2f}"
+        print(f"{line} [{time.time() - t0:.0f}s]", flush=True)
+    return 0 if acc.total else 1  # no eligible prime: nothing was measured
 
 
 if __name__ == "__main__":

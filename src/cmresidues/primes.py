@@ -11,7 +11,7 @@ Euler phi) trial-divides by the sieve's own primes below 10⁶ (``_trial_divide`
 which also splits the engine's character arguments of any size).  Whatever
 is left has no prime factor below 10⁶, so below 10¹⁸ it is 1, q, q² or q·r,
 and ``isqrt`` and ``is_prime`` tell these apart; past that, only a cofactor that
-``is_prime`` passes is factored, and any other raises ValueError.
+``is_prime`` passes, or the square of one, is factored, and any other raises ValueError.
 
 Conventions used throughout the package:
 
@@ -267,16 +267,16 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 def _factorint(n: int, *, semiprime_ok: bool = False) -> dict[int, int]:
     """{q: e} with n = ∏ q^e for n >= 1, q increasing.  Trial division by the primes
-    below 10⁶ leaves a cofactor c with no prime factor below 10⁶: 1, a prime that
-    ``is_prime`` passes, of any size, or below 10¹⁸ q² or q·r; q·r is kept whole, as
-    {q·r: 1}, if ``semiprime_ok``.  Any other c raises ValueError."""
+    below 10⁶ leaves a cofactor c with no prime factor below 10⁶: 1, a prime q that
+    ``is_prime`` passes or its square q², of any size, or below 10¹⁸ q·r; q·r is kept
+    whole, as {q·r: 1}, if ``semiprime_ok``.  Any other c raises ValueError."""
     out, n = _trial_divide(n)
     if n >= _TRIAL**2 and not is_prime(n):  # below 10¹², n is 1 or prime
         r = isqrt(n)
-        if n >= _TRIAL**3 or not (r * r == n or semiprime_ok):
-            raise ValueError(f"cannot factor {n}: no prime factor below 10⁶, and past 10¹⁸ or two above it")
-        if r * r == n:
+        if r * r == n and is_prime(r):
             return out | {r: 2}
+        if n >= _TRIAL**3 or not semiprime_ok:
+            raise ValueError(f"cannot factor {n}: no prime factor below 10⁶, and past 10¹⁸ or two above it")
     if n > 1:
         out[n] = 1
     return out

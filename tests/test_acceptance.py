@@ -1,8 +1,9 @@
 """Acceptance gate: every headline guarantee of the package, at full scale.
 
 Each test is one criterion and prints a single summary line.  The slow part
-is a combined 40-item density sweep to 1e7 shared by criteria 7 and 8
-(module-scoped fixture, one sieve pass); everything else runs directly.
+is a combined 40-item density sweep to 1e7 shared by criteria 7, 8 and 10
+(module-scoped fixture, one sieve pass) over the batch that
+``scripts/run_acceptance_batch.py`` declares; everything else runs directly.
 
 Expected wall time for the whole module: about 50 seconds on a two-core machine.
 
@@ -30,6 +31,7 @@ Criteria 2-6 pin the exact number of checks each suite makes and print
 their elapsed seconds.
 """
 
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -41,30 +43,19 @@ from cmresidues.density import (
     GAP_MAX,
     Z_MAX,
     Report,
-    ScanItem,
-    conjecture_moduli,
     density_report,
     density_rows,
     scaling_rows,
     scan_batch,
     verify_suite,
 )
-from cmresidues.prime_sets import CongMod
 from cmresidues.primes import primes_in_range
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from run_acceptance_batch import batch, batch_rows  # noqa: E402
 
 PMAX_BIG = 10**7
 LEDGER = Path(__file__).parent / "data" / "acceptance_1e7.csv"
-
-# The grid for the big sweep.  Quadratic-symbol families at conditioning 2
-# and 4; the quartic family at conditioning 4; cubic-symbol families at 3
-# and 9; then the six scaling-law items with every modulus their report
-# rows consume.  Twists stay integral and 6-smooth so the eligible prime
-# set inside each family is independent of t (bad primes are < 5).
-L25_GRID = [(d, t) for d in (-7, -8, -11) for t in (1, 3, -1, 2)]
-L26_TWISTS = (1, 2, -2, 3, 6, -8)
-L27_TWISTS = (1, 2)
-
-CONJ_ROWS = [(-4, 1, 8), (-4, 3, 8), (-7, 1, 4), (-7, 3, 4), (-3, 2, 6), (-3, 2, 9)]
 
 # Eligible-set sizes below 1e7, frozen from the first full run.  Equal
 # numbers are not accidents: e.g. the d = -8 conditioning-4 set and the
@@ -95,33 +86,12 @@ ANOMALY_TOTAL = 165976
 ANOMALY_COUNTS = {(8, 1): 42160, (8, 2): 40748, (8, 4): 83068, (4, 1): 82908}
 
 
-def _big_items():
-    items, kinds = [], []
-
-    def add(kind, d, t, moduli, extra=None):
-        items.append(ScanItem(d, F(t), tuple(moduli), extra))
-        kinds.append(kind)
-
-    for d, t in L25_GRID:
-        add("density-2", d, t, (2,))
-        add("density-2", d, t, (2,), CongMod(4, (1,)))
-    for t in L26_TWISTS:
-        add("density-4", -4, t, (4,))
-    for t in L27_TWISTS:
-        add("density-3", -3, t, (3,))
-        add("density-3", -3, t, (3,), CongMod(9, (1,)))
-    for d, t, m in CONJ_ROWS:
-        add(f"conjecture-{m}", d, t, conjecture_moduli(d, m))
-    return items, kinds
-
-
 @pytest.fixture(scope="module")
 def big_scan():
-    items, kinds = _big_items()
     t0 = time.time()
-    results = scan_batch(items, PMAX_BIG, workers=1)
+    results = scan_batch([item for item, _, _ in batch()], PMAX_BIG, workers=1)
     elapsed = time.time() - t0
-    return {"results": results, "kinds": kinds, "elapsed": elapsed}
+    return {"results": list(zip(batch(), results)), "elapsed": elapsed}
 
 
 def test_01_fast_traces_match_point_counts():
@@ -198,11 +168,9 @@ def test_06_quadratic_and_cubic_laws_to_1e5():
 
 def test_07_density_tables_at_1e7(big_scan):
     rows_checked = 0
-    for res, kind in zip(big_scan["results"], big_scan["kinds"]):
-        if not kind.startswith("density"):
+    for (item, kind, m), res in big_scan["results"]:
+        if kind != "density":
             continue
-        item = res.item
-        m = int(kind.split("-")[1])
         cond = m if item.extra is None else item.extra.modulus
         assert res.total == N_COND[(item.d, cond)], (item, res.total)
         for row in density_rows(res, m):
@@ -221,11 +189,9 @@ def test_07_density_tables_at_1e7(big_scan):
 def test_08_scaling_predictions_at_1e7(big_scan):
     passed = 0
     anomalies = []
-    for res, kind in zip(big_scan["results"], big_scan["kinds"]):
-        if not kind.startswith("conjecture"):
+    for (item, kind, m), res in big_scan["results"]:
+        if kind != "scaling":
             continue
-        item = res.item
-        m = int(kind.split("-")[1])
         assert res.total == N_CONJ[(item.d, m)], (item, res.total)
         for row in scaling_rows(res, m):
             if (row.d, row.t, row.m, row.n) in {(-4, 3, 8, 1), (-4, 3, 8, 2)}:
@@ -240,11 +206,7 @@ def test_08_scaling_predictions_at_1e7(big_scan):
 
     # the documented octic anomaly: exact counts, tolerance genuinely missed
     assert len(anomalies) == 2
-    res = next(
-        r
-        for r, k in zip(big_scan["results"], big_scan["kinds"])
-        if k == "conjecture-8" and r.item.d == -4 and r.item.t == 3
-    )
+    res = next(res for (item, _, m), res in big_scan["results"] if (item.d, item.t, m) == (-4, 3, 8))
     assert res.total == ANOMALY_TOTAL
     for (m, n), count in ANOMALY_COUNTS.items():
         assert res.count(m, n) == count, (m, n, res.count(m, n))
@@ -276,10 +238,8 @@ def test_09_reports_byte_identical_across_workers():
 
 
 def test_10_ledger_at_1e7_byte_identical(big_scan):
-    # criteria 7 and 8 judge verdicts; this pins every count behind them
-    rows = []
-    for res, kind in zip(big_scan["results"], big_scan["kinds"]):
-        make = density_rows if kind.startswith("density") else scaling_rows
-        rows += make(res, int(kind.split("-")[1]))
+    # criteria 7 and 8 judge verdicts; this pins every count behind them, as
+    # scripts/run_acceptance_batch.py writes them
+    rows = batch_rows([res for _, res in big_scan["results"]])
     assert Report(rows).to_csv() == LEDGER.read_text()
     print(f"criterion 10 PASS: {len(rows)} rows of the 1e7 sweep match the ledger byte for byte")

@@ -189,6 +189,10 @@ def test_density_twist_with_a_huge_prime_cofactor(capsys):
     # a composite with no factor below 10⁶, past 10¹⁸, is still refused
     code, out, err = run(capsys, "density", "--d", "-7", "--t", str((10**9 + 7) * (10**9 + 9)), "--m", "2")
     assert code == 2 and out == "" and "cannot factor" in err
+    # the square of a prime past 10⁹ is factored: squarefree part 1, the t = 1 report
+    square, one = (run(capsys, "density", "--d", "-7", "--t", t, "--m", "2") for t in (str((10**9 + 7) ** 2), "1"))
+    assert square[0] == one[0] == 0 and square[2] == one[2] == ""
+    assert square[1].replace(str((10**9 + 7) ** 2), "1") == one[1]
 
 
 def test_verify_suite_payload(capsys):

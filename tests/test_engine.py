@@ -34,8 +34,9 @@ from cmresidues.engine import (
 from cmresidues.gaussian import quartic_exponent, split_prime
 from cmresidues.prime_sets import QuarticCell, SymOrder, classify, parse_set, quartic_cell_expr
 from cmresidues.primes import jacobi, order_dividing, prime_array, primes_in_range
-from test_acceptance import _big_items
+from test_acceptance import batch
 
+SWEEP = tuple(item for item, _, _ in batch())  # the 40-item acceptance batch
 BIG = Fraction(-(3**43 + 4), 7**25)  # numerator and denominator both above 2⁶⁴
 TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 4), Fraction(-7, 4), Fraction(6), BIG)
 EDGE = (P_LIMIT - 20_000, P_LIMIT)
@@ -388,10 +389,9 @@ def test_symord_mask_with_a_large_m_and_a_rational_t():
 
 
 def test_scan_chunk_matches_reference_on_the_sweep():
-    items = tuple(_big_items()[0])
-    assert len(items) == 40
+    assert len(SWEEP) == 40
     # m = 1: every split prime is ≡ 1 (mod 1), and its 1-class has order 1
-    plan = (items + (ScanItem(-7, Fraction(1), (1,)), ScanItem(-3, Fraction(2), (1, 6))), None)
+    plan = (SWEEP + (ScanItem(-7, Fraction(1), (1,)), ScanItem(-3, Fraction(2), (1, 6))), None)
     assert _scan_chunk(plan, (5, 60_000)) == _reference_chunk(plan, (5, 60_000))
 
 
@@ -444,13 +444,12 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
     orders_of = TwistOrders.__call__
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     monkeypatch.setattr(TwistOrders, "__call__", residue_stage)
-    items = tuple(_big_items()[0])
-    _scan_chunk((items, None), (5, 60_000))
+    _scan_chunk((SWEEP, None), (5, 60_000))
     powered = [(p, x) for inside, ps, base in full if inside for p, x in zip(ps.tolist(), base.tolist())]
     monkeypatch.undo()
     seg = Segment(5, 60_000)
     tallied = set()
-    for it in items:
+    for it in SWEEP:
         ps, a = seg.traces(CurveSpec(it.d, it.t))
         keep = (ps - 1) % math.lcm(*it.moduli) == 0
         if it.extra is not None:
@@ -509,10 +508,9 @@ def test_engine_at_the_width_edge(monkeypatch):
         ps, a = seg.traces(spec)
         assert len(ps) > 300
         assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, *EDGE), d
-    items = tuple(_big_items()[0])
     monkeypatch.setattr(density, "_CHUNK", 7_919)
-    got = scan_batch(items, EDGE[1], p_min=EDGE[0])
-    totals, tallies = _reference_chunk((items, None), EDGE)
+    got = scan_batch(SWEEP, EDGE[1], p_min=EDGE[0])
+    totals, tallies = _reference_chunk((SWEEP, None), EDGE)
     assert [r.total for r in got] == totals and sum(totals) > 0
     assert [r.tallies for r in got] == tallies
 

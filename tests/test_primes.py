@@ -187,14 +187,18 @@ def test_factoriser_keeps_a_two_prime_block_whole_for_reduction_only():
 
 
 def test_factoriser_refuses_past_1e18():
-    # composite, no prime factor below 10⁶, past 10¹⁸
-    for n in ((10**9 + 7) * (10**9 + 9), 2 * (10**9 + 7) * (10**9 + 9), sympy.nextprime(10**9) ** 2, Q * R * R):
+    # composite, no prime factor below 10⁶, past 10¹⁸, and not a prime's square
+    qr = (10**9 + 7) * (10**9 + 9)
+    for n in (qr, 2 * qr, qr**2, Q * R * R):
         with pytest.raises(ValueError, match="cannot factor"):
             kfree_reduce(n, 2)
         with pytest.raises(ValueError, match="cannot factor"):
             euler_phi(n)
     with pytest.raises(ValueError, match="cannot factor"):
         kfree_reduce(Fraction(1, Q * R * R), 3)
+    # the square of a prime that is_prime passes is factored, whatever its size
+    for n in (sympy.nextprime(10**9) ** 2, 18 * (10**9 + 7) ** 2, (10**30 + 57) ** 2):
+        _check_against_sympy(n)
 
 
 @pytest.mark.parametrize("big", [sympy.nextprime(10**18), 10**30 + 57])

@@ -1,0 +1,34 @@
+"""The scripts under ``scripts/``, run in-process through their ``main``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import run_acceptance_batch  # noqa: E402
+import study_octic_bias  # noqa: E402
+
+
+def test_acceptance_batch_same_bytes_on_one_and_two_workers(tmp_path):
+    # three engine segments, every row passing
+    outs = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert run_acceptance_batch.main(["--pmax", "600000", "--workers", str(workers), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 1 + 99
+
+
+def test_acceptance_batch_fails_an_empty_scan(tmp_path, capsys):
+    # below 6 no density item has an eligible prime: N = 0 is no pass
+    assert run_acceptance_batch.main(["--pmax", "6", "--out", str(tmp_path / "b.csv")]) == 1
+    out = capsys.readouterr().out
+    assert "-7,1,2,1,,0,,1/4,quadratic-table,,n/a" in out.splitlines()
+
+
+def test_octic_study_without_eligible_primes(capsys):
+    assert study_octic_bias.main(["--heights", "10"]) == 1
+    assert capsys.readouterr().out.startswith("x=1e+01: N=0 [")
+    # at 20 there is one eligible prime, none of it quartic-trivial: no gap/sigma
+    assert study_octic_bias.main(["--heights", "10", "20", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ["gap/sigma" in line for line in lines] == [False, False, True]
+    assert " N=1 d8_1=0.000000 " in lines[1]
