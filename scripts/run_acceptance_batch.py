@@ -8,7 +8,8 @@ rescaled gcd(m, w)-class partition over the same set (the d = -3, m = 6 rows
 also with the product rule).  At --pmax 10000000 the CSV is byte for byte
 ``tests/data/acceptance_1e7.csv``.  Every row that fails the |z| <= 4 /
 gap <= 0.004 rule or has N = 0 is printed, and then the exit code is 1, else 0;
-at 1e7 these are the two documented d = -4, t = 3 octic rows.
+at 1e7 these are the two documented d = -4, t = 3 octic rows.  A range or worker
+count the scan refuses exits 2 with a one-line error.
 
 Usage: python3 scripts/run_acceptance_batch.py [--pmax 10000000] [--workers 1]
                                                [--out results/acceptance_batch.csv]
@@ -65,7 +66,11 @@ def main(argv=None) -> int:
 
     items = [item for item, _, _ in batch()]
     t0 = time.time()
-    report = Report(batch_rows(scan_batch(items, args.pmax, workers=args.workers)))
+    try:
+        report = Report(batch_rows(scan_batch(items, args.pmax, workers=args.workers)))
+    except ValueError as e:  # a bad range or worker count, refused as the CLI does
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     elapsed = time.time() - t0
 
     out = Path(args.out)

@@ -13,7 +13,8 @@ Columns: eligible N, octic order-1/2 densities, quartic-trivial density,
 their gap, and the gap in units of its binomial sigma sqrt(q/N) (the
 standard deviation of d1 - d2 given the quartic-trivial mass q).  A height
 with N = 0 prints only N, and one with q = 0 no gap/sigma; the script exits 1
-if the final N is 0.
+if the final N is 0, and 2 with a one-line error for a height or worker count
+the scan refuses.
 
 Usage: python3 scripts/study_octic_bias.py [--heights 1e7 2e7 4e7 6e7]
 """
@@ -42,7 +43,11 @@ def main(argv=None) -> int:
     lo, acc = 5, None
     for hi in heights:
         t0 = time.time()
-        res = scan_batch([item], hi, p_min=lo, workers=args.workers)[0]
+        try:
+            res = scan_batch([item], hi, p_min=lo, workers=args.workers)[0]
+        except ValueError as e:  # a bad height or worker count, refused as the CLI does
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         acc = res if acc is None else (acc.merge(res) or acc)
         lo = hi
         N = acc.total

@@ -43,11 +43,11 @@ from .curves import _NAIVE_LIMIT, CurveModel, CurveSpec, naive_traces, unit_coun
 from .engine import (
     P_LIMIT,
     Segment,
-    TwistOrders,
     isqrt_array,
     legendre_array,
     mod_array,
     pow_array,
+    residue_orders,
     set_mask,
     symbol_exponents,
 )
@@ -290,15 +290,26 @@ def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, p_max)) for lo in range(p_min, p_max, _CHUNK)]
 
 
+def _stacked_orders(cases, moduli) -> list[dict[int, np.ndarray]]:
+    """``residue_orders`` of the (ps, a) of each twist of one d, in one call on the
+    stacked arrays (so one full power per distinct (p, |a_p| mod p) over all of
+    them), cut back into one dict per twist."""
+    ps, a = (np.concatenate([np.empty(0, dtype=np.int64)] + [c[j] for c in cases]) for j in (0, 1))
+    cuts = np.cumsum([len(c[0]) for c in cases])[:-1]
+    orders = residue_orders(a, ps, moduli)
+    return [dict(zip(orders, parts)) for parts in zip(*(np.split(o, cuts) for o in orders.values()))]
+
+
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
     Sieve and norm form run once per d, the trace once per (d, t) group and
     only at primes ≡ 1 mod the gcd of its items' lcm(moduli), where every
     eligible set lies; the eligible set of each item is one mask (good,
-    split, ≡ 1 mod every modulus, in ``extra``), and the orders of all the
-    moduli of a d take one full power per prime and distinct |a_p| that some
-    item tallies (``TwistOrders``).
+    split, ≡ 1 mod every modulus, in ``extra``).  The orders of all the
+    moduli of a d come from one ``residue_orders`` call on the stacked primes
+    that some item of each twist tallies, so they take one full power per
+    prime and distinct |a_p| (``_stacked_orders``).
     """
     items, table = plan
     seg = Segment(*bounds)
@@ -308,22 +319,22 @@ def _scan_chunk(plan, bounds):
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
     for d, twists in groups.items():
-        moduli = {m for idxs in twists.values() for i in idxs for m in items[i].moduli}
-        orders_of = TwistOrders(seg.form(d)[0] if len(twists) > 1 else None, math.lcm(*moduli))
+        moduli = sorted({m for idxs in twists.values() for i in idxs for m in items[i].moduli})
+        cases, masks = [], []
         for t, idxs in twists.items():
-            group = [items[i] for i in idxs]
-            lcms = [math.lcm(*it.moduli) for it in group]
+            lcms = [math.lcm(*items[i].moduli) for i in idxs]
             ps, a = seg.traces(CurveSpec(d, t), table, math.gcd(*lcms))
             keeps = [(ps - 1) % L == 0 for L in lcms]
-            for keep, it in zip(keeps, group):
-                if it.extra is not None:
-                    keep &= set_mask(it.extra, ps, seg)
+            for keep, i in zip(keeps, idxs):
+                if items[i].extra is not None:
+                    keep &= set_mask(items[i].extra, ps, seg)
             some = np.logical_or.reduce(keeps)
-            orders = orders_of(ps[some], a[some], sorted({m for it in group for m in it.moduli}))
-            for i, it, keep in zip(idxs, group, keeps):
-                keep = keep[some]
+            cases.append((ps[some], a[some]))
+            masks.append([keep[some] for keep in keeps])
+        for idxs, keeps, orders in zip(twists.values(), masks, _stacked_orders(cases, moduli)):
+            for i, keep in zip(idxs, keeps):
                 totals[i] = int(keep.sum())
-                for m in it.moduli:
+                for m in items[i].moduli:
                     found, counts = np.unique(orders[m][keep], return_counts=True)
                     tallies[i][m] = dict(zip(found.tolist(), counts.tolist()))
     return totals, tallies
@@ -349,7 +360,10 @@ def _map_segments(fn, segments, workers):
     one message over its own pipe.  Every child is joined before this returns
     or raises, after ``terminate()`` on a failure, so none outlives the call
     and ``RUSAGE_CHILDREN`` counts them all.  At k = 1 nothing is forked.
+    ValueError for workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     k = min(workers, len(segments))
     if k <= 1:
         return list(map(fn, segments))
@@ -764,15 +778,14 @@ def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
             one = split % 4 == 1
             quartic_d = np.zeros(len(split), dtype=bool)
             quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
-        orders_of = TwistOrders(split if len(ts) > 1 else None, 2)
-        for j, t in enumerate(ts):
-            ps, a = seg.traces(CurveSpec(d, t), table)
+        traces = [seg.traces(CurveSpec(d, t), table) for t in ts]
+        for j, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (2,)))):
             minus_t = -legendre_array(t.numerator * t.denominator, ps)
             if d == -4:
                 expected = np.where(ps % 8 == 1, 1, minus_t)
             else:
                 expected = np.where(ps % 4 == 1, np.where(quartic_d[np.searchsorted(split, ps)], 1, -1), minus_t)
-            rec.check(i * len(ts) + j, ps, expected, np.where(orders_of(ps, a, (2,))[2] == 1, 1, -1))
+            rec.check(i * len(ts) + j, ps, expected, np.where(orders[2] == 1, 1, -1))
 
 
 def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVENTION):
@@ -807,11 +820,10 @@ def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    orders_of = TwistOrders(seg.form(-3)[0] if len(ts) > 1 else None, 6)
-    for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-3, t), table)
+    traces = [seg.traces(CurveSpec(-3, t), table) for t in ts]
+    for c, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (6,)))):
         rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
-        rec.check(c, ps, rhs, orders_of(ps, a, (6,))[6] == 1)
+        rec.check(c, ps, rhs, orders[6] == 1)
 
 
 def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):

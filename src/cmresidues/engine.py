@@ -25,15 +25,15 @@ work at all:
   segment and k, the quartic and cubic ones by comparing v·b with ∓a mod
   p (so no modular inverse: ``symbol_exponents``);
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
-* order: ``TwistOrders`` takes the orders of the twists of one d in turn.
-  At a split prime the twists' a_p differ by a sign and among at most three
-  values of |a_p|, so with g = gcd(p - 1, lcm of the d's moduli) and
-  k = (p-1)/g it takes one full power |a_p|^k per prime and distinct |a_p|,
-  and applies the sign as (-1)^k.  Each m-class a^((p-1)/m) = w^(g/m) of
-  w = a^k is read off the order of w, which ``order_array`` finds by
-  repeated ℓ-th powers for each prime ℓ of the lcm.  ``residue_orders`` is
-  its one-twist case, and ``Segment.symord`` keeps the orders of the
-  symord(m; t; ·) atoms per (m, t), whatever n.
+* order: ``residue_orders`` takes the orders of a stack of twists of one d
+  in one call.  At a split prime the twists' a_p differ by a sign and among
+  at most three values of |a_p|, so with g = gcd(p - 1, lcm of the d's
+  moduli) and k = (p-1)/g it takes one full power |a_p|^k per distinct
+  (p, |a_p| mod p), and applies the sign as (-1)^k.  Each m-class
+  a^((p-1)/m) = w^(g/m) of w = a^k is read off the order of w, which
+  ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the
+  lcm.  ``Segment.symord`` keeps the orders of the symord(m; t; ·) atoms
+  per (m, t), whatever n.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``),
@@ -141,69 +141,41 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
 
 def residue_orders(a: np.ndarray, ps: np.ndarray, moduli) -> dict[int, np.ndarray]:
     """m -> order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m),
-    0 elsewhere, for every m in moduli.  One twist's ``TwistOrders``."""
-    return TwistOrders(None, lcm(*moduli))(ps, a, moduli)
+    0 elsewhere, for every m in moduli; ps may repeat a prime, as the stacked twists
+    of one d do.
 
+    With M = lcm(moduli), g = gcd(p - 1, M) and k = (p-1)/g, the power
+    w = a^k = (-1)^k·|a|^k has order dividing g, and for m | g the m-class
+    a^((p-1)/m) = w^(g/m) has order ord(w)/gcd(ord(w), g/m).  |a|^k is taken once
+    per distinct (p, |a| mod p), found by ``np.unique`` on p·2³² + |a| mod p
+    (exact, as p < 2³²): at a split prime the twists of one d differ by a sign and
+    among at most three values of |a_p|.  ``order_array`` then finds ord(w), and
+    raises where a ≡ 0 at a prime it powers.
 
-class TwistOrders:
-    """``residue_orders`` for the twists of one d, called twist by twist on subsets
-    of the increasing primes split (None for a single twist), every modulus a
-    divisor of M.
+    One power of 3 mod 13 serves a = 3 and a = -3, which (-1)^3 tells apart:
 
-    One full power per prime and distinct |a| mod p over all the calls: with
-    g = gcd(p - 1, M) and k = (p-1)/g, the power w = a^k = (-1)^k·|a|^k has
-    order dividing g, and for m | g the m-class a^((p-1)/m) = w^(g/m) has order
-    ord(w)/gcd(ord(w), g/m).  The twists of one d differ at a prime by a sign
-    and among at most three values of |a_p|, so |a|^k is kept as (value, power)
-    array pairs indexed by position in split, one pair per value a prime takes.
-    ``order_array`` then finds ord(w), and raises where a ≡ 0 at a prime it powers.
+    >>> orders = residue_orders(np.array([3, -3, 3]), np.array([13, 13, 17]), (4, 2))
+    >>> {m: o.tolist() for m, o in orders.items()}
+    {4: [1, 2, 4], 2: [1, 1, 2]}
     """
-
-    def __init__(self, split: np.ndarray | None, M: int):
-        self.split, self.M = split, M  # split None: one twist, nothing to share
-        self.memo: list[tuple[np.ndarray, np.ndarray]] = []  # (|a| mod p or -1, |a|^k mod p)
-
-    def __call__(self, ps: np.ndarray, a: np.ndarray, moduli) -> dict[int, np.ndarray]:
-        if any(self.M % m for m in moduli):
-            raise ValueError(f"moduli {tuple(moduli)} do not all divide {self.M}")
-        g = np.gcd(ps - 1, self.M)
-        sel = np.logical_or.reduce([g % m == 0 for m in moduli])  # some m divides p - 1
-        q = ps[sel]
-        k = (q - 1) // g[sel]
-        w = self._power(q, k, np.abs(a[sel]) % q)
-        w = np.where((k % 2 == 1) & (a[sel] < 0), q - w, w)  # q - 0 is still ≡ 0
-        order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
-        order[sel] = order_array(w, self.M, q)
-        out = {}
-        for m in moduli:
-            at = g % m == 0
-            out[m] = np.zeros(len(ps), dtype=np.int64)
-            out[m][at] = order[at] // np.gcd(order[at], g[at] // m)
-        return out
-
-    def _power(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v^k mod p at the primes q, v = |a| mod p, powering each (p, v) once over every call."""
-        if self.split is None:
-            return pow_array(v, k, q)
-        pos = np.searchsorted(self.split, q)
-        w = np.empty(len(q), dtype=np.int64)
-        new = np.ones(len(q), dtype=bool)
-        for vals, pows in self.memo:
-            hit = vals[pos] == v
-            w[hit] = pows[pos[hit]]
-            new &= ~hit
-        if new.any():
-            w[new] = pow_array(v[new], k[new], q[new])
-            idx = new.nonzero()[0]
-            # the first free pair at each prime: a prime's pairs fill in order
-            slot = sum((vals[pos[idx]] >= 0 for vals, _ in self.memo), np.zeros(len(idx), dtype=np.int64))
-            for j in range(int(slot.max()) + 1):
-                if j == len(self.memo):
-                    n = len(self.split)
-                    self.memo.append((np.full(n, -1, dtype=np.int64), np.empty(n, dtype=np.int64)))
-                here = idx[slot == j]
-                self.memo[j][0][pos[here]], self.memo[j][1][pos[here]] = v[here], w[here]
-        return w
+    M = lcm(*moduli)
+    g = np.gcd(ps - 1, M)
+    sel = np.logical_or.reduce([g % m == 0 for m in moduli])  # some m divides p - 1
+    q, aq = ps[sel], a[sel]
+    k = (q - 1) // g[sel]
+    v = np.abs(aq) % q
+    _, first, back = np.unique(q.astype(np.uint64) << np.uint64(32) | v.astype(np.uint64),
+                               return_index=True, return_inverse=True)
+    w = pow_array(v[first], k[first], q[first])[back]
+    w = np.where((k % 2 == 1) & (aq < 0), q - w, w)  # q - 0 is still ≡ 0
+    order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
+    order[sel] = order_array(w, M, q)
+    out = {}
+    for m in moduli:
+        at = g % m == 0
+        out[m] = np.zeros(len(ps), dtype=np.int64)
+        out[m][at] = order[at] // np.gcd(order[at], g[at] // m)
+    return out
 
 
 def symbol_exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray, ps: np.ndarray, k: int) -> np.ndarray:
@@ -279,7 +251,7 @@ class Segment:
         self.primes = prime_array(lo, hi)
         self._is_prime: np.ndarray | None = None
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._memos: dict[tuple, np.ndarray | tuple] = {}  # per key, a value >= 0 at each prime asked for
+        self._memos: dict[tuple, np.ndarray] = {}  # per key, a value >= 0 at each prime asked for
 
     def form(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, x, y), increasing in p: every prime p of the segment split in d, with
@@ -316,19 +288,12 @@ class Segment:
         return out
 
     def _memo(self, key: tuple, ps: np.ndarray, fill) -> np.ndarray:
-        """fill(new) >= 0 at ps[new] (ps primes of the segment, new an index into ps), kept
-        per key so that fill meets each prime once, and only the primes asked for.  The
-        first ask of a key is kept as it came; a second one spreads it over ``self.primes``,
-        so a key asked once per segment, as a scan of one twist asks it, pays no search."""
-        memo = self._memos.get(key)
-        if memo is None:
-            values = fill(slice(None))
-            self._memos[key] = (ps, values)
-            return values
-        if isinstance(memo, tuple):
-            first, values = memo
-            memo = self._memos[key] = np.full(len(self.primes), -1, dtype=np.int64)
-            memo[np.searchsorted(self.primes, first)] = values
+        """fill(new) >= 0 at ps[new] (ps primes of the segment, new a mask on ps), kept
+        per key in one array over ``self.primes``, -1 where not yet asked, so that fill
+        meets each prime once, and only the primes asked for."""
+        if key not in self._memos:
+            self._memos[key] = np.full(len(self.primes), -1, dtype=np.int64)
+        memo = self._memos[key]
         at = np.searchsorted(self.primes, ps)
         new = memo[at] < 0
         if new.any():

@@ -336,6 +336,14 @@ def test_workers_are_the_caller_and_one_child_per_other_segment(monkeypatch, tmp
     assert not active_children()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_refused(workers):
+    with pytest.raises(ValueError, match=f"workers must be positive, got {workers}"):
+        scan_batch(SCAN_ITEMS[:1], 20_000, workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be positive, got {workers}"):
+        verify_suite("two-factor", p_max=20_000, workers=workers)
+
+
 def test_map_segments_keeps_segment_order():
     got = _map_segments(lambda s: (s, os.getpid()), list(range(7)), 3)
     assert [s for s, _ in got] == list(range(7))

@@ -17,12 +17,11 @@ import pytest
 from cmresidues import density, engine
 from cmresidues.cli import main
 from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
-from cmresidues.density import ScanItem, _scan_chunk, scan_batch
+from cmresidues.density import ScanItem, _scan_chunk, _stacked_orders, scan_batch
 from cmresidues.eisenstein import cubic_exponent, split_prime_eis
 from cmresidues.engine import (
     P_LIMIT,
     Segment,
-    TwistOrders,
     _form,
     mod_array,
     order_array,
@@ -128,16 +127,40 @@ def test_residue_orders_match_order_dividing(bounds):
         g = np.gcd(ps - 1, M)
         assert M == 2 or ((1 < g) & (g < M)).any()  # a power w of order below M, not only M
         odd_k |= ((ps - 1) // g % 2 == 1).any()  # k = (p-1)/g odd: the sign of a counts
-        # one case alone, then stacked twists that share the power of |a|:
-        # a again, -a, b, and b at half the primes with the first modulus only
-        cases = [(ps, a, moduli), (ps, a, moduli), (ps, -a, moduli), (ps, b, moduli), (ps[half], b[half], moduli[:1])]
-        orders_of = TwistOrders(ps, M)
-        got = [residue_orders(a, ps, moduli)] + [orders_of(*case) for case in cases[1:]]
-        for (q, x, mods), orders in zip(cases, got):
-            assert set(orders) == set(mods)
-            for m in mods:
+        # one case alone, then stacked twists in one call that share the power
+        # of |a|: a again, -a, b, and b at half the primes
+        cases = [(ps, a), (ps, -a), (ps, b), (ps[half], b[half])]
+        got = [residue_orders(a, ps, moduli)] + _stacked_orders(cases, moduli)
+        for (q, x), orders in zip([(ps, a)] + cases, got, strict=True):
+            assert set(orders) == set(moduli)
+            for m in moduli:
                 assert orders[m].tolist() == _scalar_orders(x, q, m), (moduli, m)
     assert odd_k
+
+
+def test_stacked_residue_orders_power_each_distinct_pair_once(monkeypatch):
+    # stacked twists repeat each prime; |a| mod p takes few values there, and
+    # a + sign(a)·p has the same one, so the power is shared across the stack
+    ps = prime_array(2, 30_000)
+    rng = np.random.default_rng(18)
+    a = rng.integers(1, ps) * rng.choice([-1, 1], len(ps))
+    b = np.where(rng.random(len(ps)) < 0.5, -a, rng.integers(1, ps))
+    q = np.concatenate([ps, ps, ps, ps[::2]])
+    x = np.concatenate([a, -a, b, a[::2] + np.sign(a[::2]) * ps[::2]])
+    full = []
+
+    def counting_pow(base, exp, ps):
+        if isinstance(exp, np.ndarray):
+            full.append(list(zip(ps.tolist(), base.tolist())))
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    residue_orders(x, q, (8, 4))
+    sel = (q - 1) % 4 == 0  # the primes where some modulus divides p - 1
+    pairs = set(zip(q[sel].tolist(), (np.abs(x[sel]) % q[sel]).tolist()))
+    assert len(full) == 1
+    assert sorted(full[0]) == sorted(pairs)  # each pair once
+    assert 2 * len(pairs) < sel.sum()
 
 
 def test_residue_orders_reject_zero():
@@ -434,16 +457,15 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
             full.append((bool(stage), ps.copy(), base.copy()))
         return pow_array(base, exp, ps)
 
-    def residue_stage(self, *case):
+    def residue_stage(*args):
         stage.append(True)
         try:
-            return orders_of(self, *case)
+            return residue_orders(*args)
         finally:
             stage.pop()
 
-    orders_of = TwistOrders.__call__
     monkeypatch.setattr(engine, "pow_array", counting_pow)
-    monkeypatch.setattr(TwistOrders, "__call__", residue_stage)
+    monkeypatch.setattr(density, "residue_orders", residue_stage)
     _scan_chunk((SWEEP, None), (5, 60_000))
     powered = [(p, x) for inside, ps, base in full if inside for p, x in zip(ps.tolist(), base.tolist())]
     monkeypatch.undo()

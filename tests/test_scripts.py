@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import run_acceptance_batch  # noqa: E402
 import study_octic_bias  # noqa: E402
@@ -32,3 +34,20 @@ def test_octic_study_without_eligible_primes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert ["gap/sigma" in line for line in lines] == [False, False, True]
     assert " N=1 d8_1=0.000000 " in lines[1]
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        (run_acceptance_batch, ["--pmax", "3"], "bad prime range 5..3"),
+        (study_octic_bias, ["--heights", "3"], "bad prime range 5..3"),
+        (run_acceptance_batch, ["--pmax", "600000", "--workers", "0"], "workers must be positive, got 0"),
+        (study_octic_bias, ["--heights", "1e5", "--workers", "-3"], "workers must be positive, got -3"),
+    ],
+)
+def test_scripts_refuse_bad_input_as_the_cli_does(script, argv, message, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert script.main(argv + (["--out", str(out)] if script is run_acceptance_batch else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {message}\n"
