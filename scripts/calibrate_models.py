@@ -125,12 +125,12 @@ def check_pipeline(d: int, p_max: int, ts) -> tuple[int, list[str]]:
     return checked, problems
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pmax", type=int, default=2000, help="orientation check range")
     parser.add_argument("--twist-pmax", type=int, default=800,
                         help="range of the rule derivation and the pipeline-vs-naive check")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     ts = (1, 2, -2, 3, 5, Fraction(1, 2), Fraction(-3, 4))
     bad = 0

@@ -209,7 +209,7 @@ def trivial_symbol_density(d: int, t: Rational | int, m: int) -> Fraction:
     family, so densities are invariants of it, but the caller should be
     explicit about which member it means.
     """
-    k = {-4: 4, -3: 6}.get(d, 2)
+    k = unit_count(d)
     t = Fraction(t)
     if t != kfree_reduce(t, k):
         raise ValueError(f"t = {t} is not {k}-th-power-free; reduce it first (kfree_reduce)")
@@ -247,7 +247,6 @@ class ScanItem:
     t: Rational
     moduli: tuple[int, ...]
     extra: SetExpr | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", Fraction(self.t))

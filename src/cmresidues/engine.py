@@ -53,6 +53,7 @@ import numpy as np
 
 from .curves import CurveModel, CurveSpec, model_twist
 from .eisenstein import _TARGETS, PRIMARY_CONVENTION
+from .gaussian import G8_CLASSES
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
 from .primes import _factorint, _trial_divide, jacobi, prime_array
 
@@ -413,7 +414,7 @@ def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:
     if isinstance(expr, G8):
         out = ps % 8 == 1
         a, b = seg.primary(-4, ps[out])
-        a8, b8 = int(expr.klass[0]), 4 if expr.klass.endswith("4i") else 0
+        a8, b8 = G8_CLASSES[expr.klass]
         out[out] = (a % 8 == a8) & (b % 8 == b8)
         return out
     if isinstance(expr, And):

@@ -217,7 +217,9 @@ def closed_form_trace_symbol(pi: GaussInt, t: int | Rational) -> QuarticSymbol:
     return QuarticSymbol(e)
 
 
-G8_CLASSES = ("1", "5", "1+4i", "5+4i")
+# g8 class token -> (a mod 8, b mod 8) of the primary divisors a+bi of p ≡ 1 (mod 8)
+G8_CLASSES = {"1": (1, 0), "5": (5, 0), "1+4i": (1, 4), "5+4i": (5, 4)}
+_G8_TOKEN = {ab: klass for klass, ab in G8_CLASSES.items()}
 
 
 def primary_class_mod8(p: int) -> str:
@@ -225,7 +227,7 @@ def primary_class_mod8(p: int) -> str:
 
     Both primary divisors a±bi of p share a, and b ≡ 0 (mod 4), so π mod 8
     lands in {1, 5, 1+4i, 5+4i} · (units fixed by primarity); returned as one
-    of the four tokens.
+    of the four tokens of ``G8_CLASSES``.
 
     >>> primary_class_mod8(73)
     '5'
@@ -235,7 +237,7 @@ def primary_class_mod8(p: int) -> str:
     if p % 8 != 1:
         raise ValueError(f"{p} is not 1 mod 8")
     pi = split_prime(p)
-    a8, b8 = pi.re % 8, pi.im % 8
-    if a8 not in (1, 5) or b8 not in (0, 4):
+    klass = _G8_TOKEN.get((pi.re % 8, pi.im % 8))
+    if klass is None:
         raise ValueError(f"{pi} is not a primary divisor of a prime {p} ≡ 1 (mod 8)")
-    return f"{a8}" if b8 == 0 else f"{a8}+4i"
+    return klass

@@ -12,12 +12,13 @@ Scans are conditioned on boolean combinations of three kinds of atoms:
 Atoms combine with ``&``, ``|``, ``!`` and parentheses; ``&`` binds tighter.
 ``parse_set`` round-trips with ``str``: parse(str(e)) == e.
 
-The nine-cell partition of p ≡ 1 (mod 4) used for the quartic family lives
-here too (``quartic_cell``): for p ≡ 1 (mod 8) the cell is the g8 class
-refined by the quadratic character of t, for p ≡ 5 (mod 8) it is the order
-of the quartic class of t/2.  Each cell pins the order (and for the g8 rows
-the value) of the quartic residue symbol of the Frobenius trace of
-y² = x³ - tx; ``quartic_cell_expr`` spells every cell in the grammar above.
+The nine-cell partition of p ≡ 1 (mod 4) for y² = x³ - tx is declared once,
+in ``_CELL_TABLE``: each row gives a cell's g8 class, the order it asks of
+(t/p) (of the quartic class of t/2 on p ≡ 5 (mod 8)), and the order and, on
+the g8 rows, the value of (a_p/π)_4 there.  ``quartic_cell``,
+``quartic_cell_expr`` and the ``trace_symbol_*`` properties read the row; the
+``nine-cells`` suite checks the first two against each other and the rest
+against a_p from the engine.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gaussian import G8_CLASSES, primary_class_mod8
 from .primes import Rational, order_dividing, parse_rational, reduce_mod
@@ -98,7 +100,7 @@ class G8(SetExpr):
 
     def __post_init__(self) -> None:
         if self.klass not in G8_CLASSES:
-            raise ValueError(f"g8: class must be one of {G8_CLASSES}, got {self.klass!r}")
+            raise ValueError(f"g8: class must be one of {tuple(G8_CLASSES)}, got {self.klass!r}")
 
     def __str__(self) -> str:
         return f"g8({self.klass})"
@@ -130,18 +132,19 @@ class Not(SetExpr):
         return f"!{self.inner}"
 
 
+def _class_order(m: int, t: Rational | int, p: int) -> int:
+    """Order of the m-class t^((p-1)/m) in F_p^×, for p ≡ 1 (mod m) prime to t."""
+    return order_dividing(pow(reduce_mod(t, p), (p - 1) // m, p), m, p)
+
+
 def classify(p: int, expr: SetExpr) -> bool:
     """Membership of the prime p in the set described by expr."""
     if isinstance(expr, CongMod):
         return p % expr.modulus in expr.residues
     if isinstance(expr, SymOrder):
-        if (p - 1) % expr.m or p == 1:
+        if (p - 1) % expr.m or p == 1 or expr.t.numerator * expr.t.denominator % p == 0:
             return False
-        t = expr.t
-        if t.numerator % p == 0 or t.denominator % p == 0:
-            return False
-        tm = reduce_mod(t, p)
-        return order_dividing(pow(tm, (p - 1) // expr.m, p), expr.m, p) == expr.n
+        return _class_order(expr.m, expr.t, p) == expr.n
     if isinstance(expr, G8):
         return p % 8 == 1 and primary_class_mod8(p) == expr.klass
     if isinstance(expr, And):
@@ -284,7 +287,7 @@ class QuarticCell(enum.Enum):
     @property
     def trace_symbol_order(self) -> int:
         """Order of the quartic symbol of the trace of y² = x³ - tx on this cell."""
-        return _CELL_ORDER[self]
+        return _CELL_TABLE[self].order
 
     @property
     def trace_symbol_exp(self) -> int | None:
@@ -293,33 +296,34 @@ class QuarticCell(enum.Enum):
         On the p ≡ 5 (mod 8) cells only the order is pinned, not which
         primitive root appears; there the value is None.
         """
-        return _CELL_EXP[self]
+        return _CELL_TABLE[self].exp
 
 
-_CELL_ORDER = {
-    QuarticCell.G8_1: 1,
-    QuarticCell.G8_1P4I: 2,
-    QuarticCell.G8_5_PLUS: 2,
-    QuarticCell.G8_5_MINUS: 1,
-    QuarticCell.G8_5P4I_PLUS: 1,
-    QuarticCell.G8_5P4I_MINUS: 2,
-    QuarticCell.C85_Q1: 1,
-    QuarticCell.C85_QM1: 2,
-    QuarticCell.C85_Q4: 4,
+class _CellRow(NamedTuple):
+    klass: str | None  # g8 class of p ≡ 1 (mod 8); None for p ≡ 5 (mod 8)
+    asks: int | None  # order asked of (t/p), or of the quartic class of t/2 on p ≡ 5 (mod 8); None: any
+    order: int  # order of (a_p/π)_4 on the cell
+    exp: int | None  # e with (a_p/π)_4 = i^e, when the cell pins it
+
+
+# The paper's table: the order column is its claim, not derived from `asks`.
+_CELL_TABLE = {
+    QuarticCell.G8_1: _CellRow("1", None, 1, 0),
+    QuarticCell.G8_1P4I: _CellRow("1+4i", None, 2, 2),
+    QuarticCell.G8_5_PLUS: _CellRow("5", 1, 2, 2),
+    QuarticCell.G8_5_MINUS: _CellRow("5", 2, 1, 0),
+    QuarticCell.G8_5P4I_PLUS: _CellRow("5+4i", 1, 1, 0),
+    QuarticCell.G8_5P4I_MINUS: _CellRow("5+4i", 2, 2, 2),
+    QuarticCell.C85_Q1: _CellRow(None, 1, 1, None),
+    QuarticCell.C85_QM1: _CellRow(None, 2, 2, None),
+    QuarticCell.C85_Q4: _CellRow(None, 4, 4, None),
 }
+_CELL_OF = {(row.klass, row.asks): cell for cell, row in _CELL_TABLE.items()}
 
-# symbol value on the g8 cells: +1 (exp 0) or -1 (exp 2)
-_CELL_EXP = {
-    QuarticCell.G8_1: 0,
-    QuarticCell.G8_1P4I: 2,
-    QuarticCell.G8_5_PLUS: 2,
-    QuarticCell.G8_5_MINUS: 0,
-    QuarticCell.G8_5P4I_PLUS: 0,
-    QuarticCell.G8_5P4I_MINUS: 2,
-    QuarticCell.C85_Q1: None,
-    QuarticCell.C85_QM1: None,
-    QuarticCell.C85_Q4: None,
-}
+
+def _asked(klass: str | None, t: Rational | int) -> tuple[int, Rational | int]:
+    """(m, s): a cell of this g8 class asks the order of the m-class of s."""
+    return (4, Fraction(t) / 2) if klass is None else (2, t)
 
 
 def quartic_cell(p: int, t: Rational | int) -> QuarticCell:
@@ -330,43 +334,16 @@ def quartic_cell(p: int, t: Rational | int) -> QuarticCell:
     >>> quartic_cell(17, 1).value
     'G8_1p4i'
     """
-    t = Fraction(t)
     if p % 4 != 1:
         raise ValueError(f"{p} is not 1 mod 4")
     if (2 * t.numerator * t.denominator) % p == 0:
         raise ValueError(f"cell undefined: {p} divides 2t")
-    tm = reduce_mod(t, p)
-    if p % 8 == 1:
-        klass = primary_class_mod8(p)
-        if klass == "1":
-            return QuarticCell.G8_1
-        if klass == "1+4i":
-            return QuarticCell.G8_1P4I
-        plus = pow(tm, (p - 1) // 2, p) == 1
-        if klass == "5":
-            return QuarticCell.G8_5_PLUS if plus else QuarticCell.G8_5_MINUS
-        return QuarticCell.G8_5P4I_PLUS if plus else QuarticCell.G8_5P4I_MINUS
-    # p ≡ 5 (mod 8): classify by the order of the quartic class of t/2
-    half_t = tm * pow(2, -1, p) % p
-    o = order_dividing(pow(half_t, (p - 1) // 4, p), 4, p)
-    return {1: QuarticCell.C85_Q1, 2: QuarticCell.C85_QM1, 4: QuarticCell.C85_Q4}[o]
+    klass = primary_class_mod8(p) if p % 8 == 1 else None
+    return _CELL_OF.get((klass, None)) or _CELL_OF[klass, _class_order(*_asked(klass, t), p)]
 
 
 def quartic_cell_expr(cell: QuarticCell, t: Rational | int) -> SetExpr:
     """The cell as a set expression in the scan grammar."""
-    t = Fraction(t)
-    plus, minus = SymOrder(2, t, 1), SymOrder(2, t, 2)
-    if cell is QuarticCell.G8_1:
-        return G8("1")
-    if cell is QuarticCell.G8_1P4I:
-        return G8("1+4i")
-    if cell is QuarticCell.G8_5_PLUS:
-        return G8("5") & plus
-    if cell is QuarticCell.G8_5_MINUS:
-        return G8("5") & minus
-    if cell is QuarticCell.G8_5P4I_PLUS:
-        return G8("5+4i") & plus
-    if cell is QuarticCell.G8_5P4I_MINUS:
-        return G8("5+4i") & minus
-    n = {QuarticCell.C85_Q1: 1, QuarticCell.C85_QM1: 2, QuarticCell.C85_Q4: 4}[cell]
-    return CongMod(8, (5,)) & SymOrder(4, t / 2, n)
+    row = _CELL_TABLE[cell]
+    base = CongMod(8, (5,)) if row.klass is None else G8(row.klass)
+    return base if row.asks is None else base & SymOrder(*_asked(row.klass, t), row.asks)

@@ -59,11 +59,11 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
-def primes_in_range(lo: int, hi: int, *, chunk: int = _SIEVE_CHUNK):
+def primes_in_range(lo: int, hi: int):
     """Yield primes p with lo <= p < hi in increasing order, from ``prime_array``
-    in windows of 2·chunk integers."""
-    for seg_lo in range(max(lo, 2), hi, 2 * chunk):
-        yield from prime_array(seg_lo, min(seg_lo + 2 * chunk, hi)).tolist()
+    in windows of 2·_SIEVE_CHUNK integers."""
+    for seg_lo in range(max(lo, 2), hi, 2 * _SIEVE_CHUNK):
+        yield from prime_array(seg_lo, min(seg_lo + 2 * _SIEVE_CHUNK, hi)).tolist()
 
 
 def jacobi(a: int, n: int) -> int:

@@ -188,6 +188,27 @@ def test_cell_frozen_examples():
     assert quartic_cell(17, 1) is QuarticCell.G8_1P4I
 
 
+_CELL_SPELLING = {
+    QuarticCell.G8_1: "g8(1)",
+    QuarticCell.G8_1P4I: "g8(1+4i)",
+    QuarticCell.G8_5_PLUS: "g8(5) & symord(2;{t};1)",
+    QuarticCell.G8_5_MINUS: "g8(5) & symord(2;{t};2)",
+    QuarticCell.G8_5P4I_PLUS: "g8(5+4i) & symord(2;{t};1)",
+    QuarticCell.G8_5P4I_MINUS: "g8(5+4i) & symord(2;{t};2)",
+    QuarticCell.C85_Q1: "mod(8;5) & symord(4;{h};1)",
+    QuarticCell.C85_QM1: "mod(8;5) & symord(4;{h};2)",
+    QuarticCell.C85_Q4: "mod(8;5) & symord(4;{h};4)",
+}
+
+
+@pytest.mark.parametrize("t, h", [(Fraction(3), "3/2"), (Fraction(1, 2), "1/4")])
+def test_cell_exprs_frozen_spelling(t, h):
+    # the public spelling of every cell: g8 cells ask (t/p), the p ≡ 5 (mod 8)
+    # cells the quartic class of t/2
+    for cell in QuarticCell:
+        assert str(quartic_cell_expr(cell, t)) == _CELL_SPELLING[cell].format(t=t, h=h), cell
+
+
 def test_cell_error_paths():
     with pytest.raises(ValueError, match="not 1 mod 4"):
         quartic_cell(7, 1)

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from cmresidues import curves
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import calibrate_models  # noqa: E402
 import run_acceptance_batch  # noqa: E402
 import study_octic_bias  # noqa: E402
+from test_density import _doctored_table  # noqa: E402
 
 
 def test_acceptance_batch_same_bytes_on_one_and_two_workers(tmp_path):
@@ -34,6 +38,21 @@ def test_octic_study_without_eligible_primes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert ["gap/sigma" in line for line in lines] == [False, False, True]
     assert " N=1 d8_1=0.000000 " in lines[1]
+
+
+def test_calibration_passes_the_shipped_models(capsys):
+    assert calibrate_models.main(["--pmax", "400", "--twist-pmax", "200"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all nine models calibrated"
+
+
+def test_calibration_fails_a_model_twisted_by_minus_one(monkeypatch, capsys):
+    # the d = -11 model replaced by its twist by -1: the naive counts see it
+    doctored = _doctored_table()
+    monkeypatch.setattr(curves, "default_table", lambda: doctored)
+    assert calibrate_models.main(["--pmax", "400", "--twist-pmax", "200"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "1 model(s) failed calibration"
+    assert [line.split(":")[0] for line in out if line.endswith("FAIL")] == ["d=  -11"]
 
 
 @pytest.mark.parametrize(
