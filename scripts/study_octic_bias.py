@@ -13,8 +13,8 @@ Columns: eligible N, octic order-1/2 densities, quartic-trivial density,
 their gap, and the gap in units of its binomial sigma sqrt(q/N) (the
 standard deviation of d1 - d2 given the quartic-trivial mass q).  A height
 with N = 0 prints only N, and one with q = 0 no gap/sigma; the script exits 1
-if the final N is 0, and 2 with a one-line error for a height or worker count
-the scan refuses.
+if the final N is 0, and 2 with a one-line error for a height, worker count
+or --t the scan refuses.
 
 Usage: python3 scripts/study_octic_bias.py [--heights 1e7 2e7 4e7 6e7]
 """
@@ -23,12 +23,12 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmresidues.density import ScanItem, scan_batch
+from cmresidues.primes import parse_rational
 
 
 def main(argv=None) -> int:
@@ -38,14 +38,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    item = ScanItem(-4, Fraction(args.t), (8, 4))
     heights = sorted(int(h) for h in args.heights)
     lo, acc = 5, None
     for hi in heights:
         t0 = time.time()
         try:
+            item = ScanItem(-4, parse_rational(args.t), (8, 4))
             res = scan_batch([item], hi, p_min=lo, workers=args.workers)[0]
-        except ValueError as e:  # a bad height or worker count, refused as the CLI does
+        except ValueError as e:  # a bad --t, height or worker count, refused as the CLI does
             print(f"error: {e}", file=sys.stderr)
             return 2
         acc = res if acc is None else (acc.merge(res) or acc)

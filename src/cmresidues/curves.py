@@ -20,9 +20,9 @@ routes to a_p:
     character of t at the primary divisor a+bi of p;
   - d = -3: a_p = -(t/p)·Tr(ω^e·π), with π ≡ 2 (mod 3) the primary divisor
     of p in Z[ω], (t/π)_3 = ω^e and Tr(a + bω) = 2a - b;
-  - d <= -7: a_p = (s/p)·b_d(p), where s is the twist (-t for d = -7, t
-    otherwise) and b_d(p) the trace of E^d from the norm equation
-    (``_base_trace``).
+  - d <= -7: a_p = (s·D/p)·b_d(p), where s is the twist (-t for d = -7, t
+    otherwise), D that of the spec's model (``CurveSpec.twist``) and b_d(p)
+    the trace of the shipped E^d from the norm equation (``_base_trace``).
 * ``ap_naive``: a direct character-sum point count, O(p) per prime;
   ``naive_traces`` counts many curves at one prime in one batch.
 
@@ -83,10 +83,21 @@ class CurveModel:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A member E_t of the twist family attached to discriminant d."""
+    """A member E_t of the twist family of d, on ``model``: None for the shipped E^d, else
+    a quadratic twist of it (ValueError here otherwise, and for d = -4 and d = -3, which
+    t alone fixes).
+
+    >>> CurveSpec(-11, 3, default_table()[-11]) == CurveSpec(-11, 3)
+    True
+    >>> CurveSpec(-4, 1, CurveModel(0, 0, 0, -4, 0))
+    Traceback (most recent call last):
+    ...
+    ValueError: the d = -4 family is fixed by t alone: vary t, not the model
+    """
 
     d: int
     t: Rational = Fraction(1)
+    model: CurveModel | None = None
 
     def __post_init__(self) -> None:
         if self.d not in DISCRIMINANTS:
@@ -95,25 +106,26 @@ class CurveSpec:
         if t == 0:
             raise ValueError("twist parameter t must be nonzero")
         object.__setattr__(self, "t", t)
+        if self.model is not None and self.model == default_table()[self.d]:
+            object.__setattr__(self, "model", None)
+        self.twist()  # ValueError unless the model is a quadratic twist of the shipped one
 
     @property
     def w(self) -> int:
         return unit_count(self.d)
 
-    def is_good(self, p: int, table: dict[int, CurveModel] | None = None) -> bool:
-        """Good odd primes of E_t: p ∤ 2·d·num(t)·den(t).  p = 2 is never good.
+    def twist(self) -> int:
+        """Squarefree D: the model is the quadratic twist by D of the shipped E^d."""
+        return 1 if self.model is None else model_twist(self.d, self.model)
 
-        Under a ``table`` whose model for d differs from the shipped one, the
-        primes dividing that model's discriminant are bad too.
-        """
-        return p > 2 and self.bad_product(table) % p != 0
+    def is_good(self, p: int) -> bool:
+        """Good odd primes of E_t: p ∤ ``bad_product()``.  p = 2 is never good."""
+        return p > 2 and self.bad_product() % p != 0
 
-    def bad_product(self, table: dict[int, CurveModel] | None = None) -> int:
-        """An integer whose odd prime factors are the bad primes of E_t."""
+    def bad_product(self) -> int:
+        """2·d·num(t)·den(t), times the discriminant of a model other than the shipped one."""
         bad = 2 * self.d * self.t.numerator * self.t.denominator
-        if table is not None and self.d <= -7 and table[self.d] != default_table()[self.d]:
-            bad *= table[self.d].discriminant()
-        return bad
+        return bad if self.model is None else bad * self.model.discriminant()
 
     def __str__(self) -> str:
         return f"E[{self.d}]_t={self.t}"
@@ -129,8 +141,7 @@ class ApRecord:
 def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
     """Parse a model table (rows ``d a1 a2 a3 a4 a6``); all nine d required.
 
-    A table read from ``path`` must keep the built-in d = -4 and d = -3 rows
-    (ValueError otherwise); only the d <= -7 models may vary.
+    A table read from ``path`` must keep the built-in d = -4 and d = -3 rows (ValueError).
     """
     if path is None:
         text = resources.files("cmresidues.data").joinpath("curves.txt").read_text()
@@ -157,7 +168,6 @@ def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
     if missing:
         raise ValueError(f"curve table is missing discriminants {missing}")
     if path is not None and any(table[d] != default_table()[d] for d in (-4, -3)):
-        # traces and point counts of these two families read t alone, never the model
         raise ValueError("curve table: the d = -4 and d = -3 rows must be the built-in ones; vary --t instead")
     return table
 
@@ -212,7 +222,7 @@ def _count_cubic(rows, p: int) -> np.ndarray:
     return out
 
 
-def naive_traces(specs, p: int, table: dict[int, CurveModel] | None = None) -> np.ndarray:
+def naive_traces(specs, p: int) -> np.ndarray:
     """Frobenius trace of each spec at p by direct point count, one batch for all of them.
 
     Each spec's own cubic is evaluated at every x in F_p; nothing is shared
@@ -220,7 +230,7 @@ def naive_traces(specs, p: int, table: dict[int, CurveModel] | None = None) -> n
     """
     rows = []
     for spec in specs:
-        if not spec.is_good(p, table):
+        if not spec.is_good(p):
             raise ValueError(f"{spec} has bad reduction at {p}")
         tm = reduce_mod(spec.t, p)
         if spec.d == -4:
@@ -228,7 +238,7 @@ def naive_traces(specs, p: int, table: dict[int, CurveModel] | None = None) -> n
         elif spec.d == -3:
             rows.append((1, 0, 0, 16 * tm))
         else:
-            b2, b4, b6 = (table or default_table())[spec.d].b_invariants()
+            b2, b4, b6 = (spec.model or default_table()[spec.d]).b_invariants()
             # complete the square: counting y² = 4x³+b2x²+2b4x+b6 matches the model;
             # the twist by s multiplies the cubic through by s (s·y² = g ~ y² = s·g up to squares)
             s = -tm if spec.d == -7 else tm
@@ -236,9 +246,9 @@ def naive_traces(specs, p: int, table: dict[int, CurveModel] | None = None) -> n
     return _count_cubic(rows, p)
 
 
-def ap_naive(spec: CurveSpec, p: int, table: dict[int, CurveModel] | None = None) -> int:
+def ap_naive(spec: CurveSpec, p: int) -> int:
     """Frobenius trace by direct point count — the slow, assumption-free route."""
-    return int(naive_traces([spec], p, table)[0])
+    return int(naive_traces([spec], p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +263,12 @@ def model_twist(d: int, model: CurveModel) -> int:
     twists of each other, and the twist by D scales (c4, c6) to
     (D²u⁴·c4, D³u⁶·c6), so D is the squarefree part of (c6/c4) / (r6/r4),
     where (r4, r6) are the invariants of E^d.
-    Raises ValueError when ``model`` does not have the j-invariant of E^d.
+    Raises ValueError for d = -4 and d = -3, which t alone fixes (``CurveSpec``
+    keeps their shipped model as None), and when ``model`` has another j.
     """
+    if d in (-4, -3):
+        raise ValueError(f"the d = {d} family is fixed by t alone: vary t, not the model")
     ref = default_table()[d]
-    if model == ref:
-        return 1
     c4, c6 = model.c_invariants()
     r4, r6 = ref.c_invariants()
     if c4 * c6 == 0 or c4**3 * r6**2 != r4**3 * c6**2:
@@ -285,20 +296,16 @@ def _base_trace(d: int, p: int) -> int:
     return (jacobi(u, 7) if d == -7 else -jacobi(u, -d)) * u
 
 
-def ap(spec: CurveSpec, p: int, *, table: dict[int, CurveModel] | None = None) -> ApRecord:
+def ap(spec: CurveSpec, p: int) -> ApRecord:
     """Frobenius trace of E_t at a good odd prime p, in closed form.
 
     Supersingular primes are dispatched by the splitting of d alone; at split
     p the norm equation gives the trace up to a unit, and a character value
-    picks the unit (see the module docstring).  A ``table`` model for d <= -7
-    must be a quadratic twist of the shipped one (else ValueError); its twist
-    class is folded into the quadratic character, and the primes dividing
-    its discriminant are bad.
+    picks the unit (see the module docstring and ``CurveSpec.twist``).
     """
-    if not spec.is_good(p, table):
+    if not spec.is_good(p):
         raise ValueError(f"{spec} has bad reduction at {p}")
     d = spec.d
-    twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1
     if jacobi(d, p) == -1:
         return ApRecord(p, 0, "supersingular")
     if d == -4:
@@ -314,20 +321,18 @@ def ap(spec: CurveSpec, p: int, *, table: dict[int, CurveModel] | None = None) -
         trace = -jacobi(tn, p) * (2 * pi.a - pi.b)
     else:
         s = -spec.t if d == -7 else spec.t
-        trace = jacobi(s.numerator * s.denominator * twist, p) * _base_trace(d, p)
+        trace = jacobi(s.numerator * s.denominator * spec.twist(), p) * _base_trace(d, p)
     return ApRecord(p, trace, "ordinary")
 
 
-def ap_order(
-    spec: CurveSpec, p: int, m: int, *, table: dict[int, CurveModel] | None = None
-) -> int:
+def ap_order(spec: CurveSpec, p: int, m: int) -> int:
     """Order of the m-th power-residue class of a_p, i.e. of a_p^((p-1)/m) in F_p^×.
 
     Requires p ≡ 1 (mod m) and ordinary reduction (nonzero trace).
     """
     if (p - 1) % m:
         raise ValueError(f"p = {p} is not 1 mod {m}")
-    rec = ap(spec, p, table=table)
+    rec = ap(spec, p)
     if rec.ap == 0:
         raise ValueError(f"a_{p} = 0 (supersingular); no residue order")
     return order_dividing(pow(rec.ap % p, (p - 1) // m, p), m, p)

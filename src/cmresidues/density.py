@@ -39,7 +39,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .curves import _NAIVE_LIMIT, CurveModel, CurveSpec, naive_traces, unit_count
+from .curves import _NAIVE_LIMIT, DISCRIMINANTS, CurveModel, CurveSpec, naive_traces, unit_count
 from .engine import (
     P_LIMIT,
     Segment,
@@ -322,7 +322,7 @@ def _scan_chunk(plan, bounds):
         cases, masks = [], []
         for t, idxs in twists.items():
             lcms = [math.lcm(*items[i].moduli) for i in idxs]
-            ps, a = seg.traces(CurveSpec(d, t), table, math.gcd(*lcms))
+            ps, a = seg.traces(CurveSpec(d, t, table and table[d]), math.gcd(*lcms))
             keeps = [(ps - 1) % L == 0 for L in lcms]
             for keep, i in zip(keeps, idxs):
                 if items[i].extra is not None:
@@ -696,14 +696,14 @@ class _Recorder:
             self.found.append(((case, v["p"], sub), v))
 
 
-_W2_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
+_W2_DISCRIMINANTS = tuple(d for d in DISCRIMINANTS if unit_count(d) == 2)
 _QUARTIC_TWISTS = (1, 2, -2, 3, 6, -8)
 ORACLE_BOUND = 20_000  # trace-oracle's default: the split p it point-counts
 
-# A suite is a per-segment check fn(seg, rec, ds, ts, oracle_bound, table)
-# over all of its (d, t) cases.  The computed side of each identity is read
-# from the segment's arrays; the claimed side calls the identity's own
-# scalar implementation.
+# A suite is a per-segment check fn(seg, rec, ds, ts, oracle_bound, table) over
+# all of its curves CurveSpec(d, t, table and table[d]).  The computed side of each
+# identity is read from the segment's arrays; the claimed side calls the
+# identity's own scalar implementation.
 
 
 def _by_prime(cases, values) -> list[list]:
@@ -720,10 +720,9 @@ def _by_prime(cases, values) -> list[list]:
     return out
 
 
-def _naive_by_prime(cases, table) -> list[list[int]]:
-    """``ap_naive(spec, p, table)`` at every p of each (spec, ps) case: one
-    ``naive_traces`` batch per prime for all the cases that reach it."""
-    return _by_prime(cases, lambda specs, p: naive_traces(specs, p, table).tolist())
+def _naive_by_prime(cases) -> list[list[int]]:
+    """``ap_naive`` at every p of each (spec, ps) case, one ``naive_traces`` batch per prime."""
+    return _by_prime(cases, lambda specs, p: naive_traces(specs, p).tolist())
 
 
 def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
@@ -734,13 +733,13 @@ def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
     """
     cases, rhs = [], []
     for d in ds:
-        ps, a = seg.good_traces(CurveSpec(d), table)  # E_1's, for every twist of d
+        ps, a = seg.good_traces(CurveSpec(d, 1, table and table[d]))  # E_1's, for every twist of d
         for t in ts:
-            spec = CurveSpec(d, t)
-            good = mod_array(spec.bad_product(table), ps) != 0
+            spec = CurveSpec(d, t, table and table[d])
+            good = mod_array(spec.bad_product(), ps) != 0
             cases.append((spec, ps[good]))
             rhs.append(legendre_array(t.numerator * t.denominator, ps[good]) * a[good])
-    for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases, table))):
+    for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases))):
         rec.check(c, ps, expected, naive)
 
 
@@ -751,10 +750,10 @@ def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
     every split p it must be even, nonzero, and satisfy the norm equation
     p = (a_p/2)² + b² exactly.  Inert p must give 0.
     """
-    specs = [CurveSpec(-4, t) for t in ts]
-    traces = [seg.good_traces(spec, table) for spec in specs]
+    specs = [CurveSpec(-4, t, table and table[-4]) for t in ts]
+    traces = [seg.good_traces(spec) for spec in specs]
     lows = [(ps % 4 == 1) & (ps <= oracle_bound) for ps, _ in traces]
-    naive = _naive_by_prime([(spec, ps[low]) for spec, (ps, _), low in zip(specs, traces, lows)], table)
+    naive = _naive_by_prime([(spec, ps[low]) for spec, (ps, _), low in zip(specs, traces, lows)])
     for c, ((ps, a), low, counted) in enumerate(zip(traces, lows, naive)):
         split = ps % 4 == 1
         rec.check(c, ps[~split], 0, a[~split])
@@ -777,7 +776,7 @@ def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
             one = split % 4 == 1
             quartic_d = np.zeros(len(split), dtype=bool)
             quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
-        traces = [seg.traces(CurveSpec(d, t), table) for t in ts]
+        traces = [seg.traces(CurveSpec(d, t, table and table[d])) for t in ts]
         for j, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (2,)))):
             minus_t = -legendre_array(t.numerator * t.denominator, ps)
             if d == -4:
@@ -794,7 +793,7 @@ def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVE
     other two cells of split p.
     """
     for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-3, t), table)
+        ps, a = seg.traces(CurveSpec(-3, t, table and table[-3]))
         pa, pb = seg.primary(-3, ps, convention)
         e_t = symbol_exponents(mod_array(t.numerator * t.denominator**2, ps), pa, pb, ps, 3)
         expected = np.where(ps % 9 == 1, 0, np.where(ps % 9 == 4, 2 * e_t % 3, e_t))
@@ -819,7 +818,7 @@ def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    traces = [seg.traces(CurveSpec(-3, t), table) for t in ts]
+    traces = [seg.traces(CurveSpec(-3, t, table and table[-3])) for t in ts]
     for c, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (6,)))):
         rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
         rec.check(c, ps, rhs, orders[6] == 1)
@@ -851,7 +850,7 @@ def _suite_two_factor(seg, rec, ds, ts, oracle_bound, table):
 def _suite_trace_symbol(seg, rec, ds, ts, oracle_bound, table):
     """Exponent-level closed form for (a_p/π)_4 in the quartic family."""
     for k, t in enumerate(ts):  # the checks run p by p, then t by t
-        ps, a = seg.traces(CurveSpec(-4, t), table)
+        ps, a = seg.traces(CurveSpec(-4, t, table and table[-4]))
         pa, pb = seg.primary(-4, ps)
         closed = [closed_form_trace_symbol(GaussInt(*ab), t).exp for ab in zip(pa.tolist(), pb.tolist())]
         rec.check(0, ps, closed, symbol_exponents(a % ps, pa, pb, ps, 4), sub=k)
@@ -873,7 +872,7 @@ def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
     cell's, and — on the p ≡ 1 (mod 8) cells — that the symbol value itself
     matches.
     """
-    traces = [seg.traces(CurveSpec(-4, t), table) for t in ts]
+    traces = [seg.traces(CurveSpec(-4, t, table and table[-4])) for t in ts]
     # prime-major, so that ``split_prime`` splits each p once for all the twists
     claimed = _by_prime([(t, ps) for t, (ps, _) in zip(ts, traces)], lambda tp, p: [quartic_cell(p, t) for t in tp])
     for c, (t, (ps, a), cells) in enumerate(zip(ts, traces, claimed)):
@@ -972,7 +971,7 @@ def verify_suite(
     return _run_suite(name, check, (ds, ts, oracle_bound, table), params, p_max, max_violations, workers)
 
 
-def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[str, int]:
+def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5)) -> dict[str, int]:
     """Violation counts of the cubic law under both primary conventions.
 
     Both are expected to be zero — the cubic symbol is attached to the ideal,
@@ -980,7 +979,7 @@ def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5), **kwargs) -> dict[st
     PRIMARY_CONVENTION safe.  Kept as a harness so the frozen choice stays
     an observable fact rather than an assumption.
     """
-    args = (None, tuple(Fraction(t) for t in ts), None, kwargs.get("table"))
+    args = (None, tuple(Fraction(t) for t in ts), None, None)
     out = {}
     for convention in ("two-mod-three", "one-mod-three"):
         check = partial(_suite_cubic, convention=convention)

@@ -51,7 +51,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .curves import CurveModel, CurveSpec, model_twist
+from .curves import CurveSpec
 from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .gaussian import G8_CLASSES
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
@@ -352,16 +352,13 @@ class Segment:
 
         return self._memo(("character", k, base), ps, euler)
 
-    def traces(
-        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None, modulus: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def traces(self, spec: CurveSpec, modulus: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(p, a_p) at every good prime p ≡ 1 (mod modulus) of E_t split in d, increasing
         in p (cf. ``curves.ap``); the other primes cost no modular power."""
         d, t = spec.d, spec.t
-        twist = model_twist(d, table[d]) if table is not None and d <= -7 else 1
         ps, x, y = self.form(d)
         keep = (ps - 1) % modulus == 0
-        keep[keep] = mod_array(spec.bad_product(table), ps[keep]) != 0
+        keep[keep] = mod_array(spec.bad_product(), ps[keep]) != 0
         ps, x, y = ps[keep], x[keep], y[keep]
         if d == -4:
             a, b = _gaussian_primary(x, y)
@@ -379,14 +376,12 @@ class Segment:
             chi = np.array([jacobi(r, -d) for r in range(-d)])
             base = (1 if d == -7 else -1) * chi[x % -d] * x
         s = -t if d == -7 else t
-        return ps, np.where(self.character(s * twist, ps, 2) == 1, -base, base)  # (s·twist/p)·base
+        return ps, np.where(self.character(s * spec.twist(), ps, 2) == 1, -base, base)  # (s·D/p)·base
 
-    def good_traces(
-        self, spec: CurveSpec, table: dict[int, CurveModel] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def good_traces(self, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
         """(p, a_p) at every good prime of E_t, a_p = 0 at the inert ones (cf. ``curves.ap``)."""
-        ps = self.primes[mod_array(spec.bad_product(table), self.primes) != 0]
-        split, a = self.traces(spec, table)
+        ps = self.primes[mod_array(spec.bad_product(), self.primes) != 0]
+        split, a = self.traces(spec)
         out = np.zeros(len(ps), dtype=np.int64)
         out[np.searchsorted(ps, split)] = a
         return ps, out

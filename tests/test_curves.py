@@ -1,6 +1,6 @@
 """Trace computation: fast CM routes vs the naive character-sum count.
 
-The closed-form route reads the model table only for the twist class of a
+The closed-form route reads a spec's model only for the twist class of a
 non-shipped model, and the naive route only counts points on it, so
 agreement over a dense grid of small primes, and a sample of large ones, is
 a genuine cross-check; the naive count itself is pinned by Hasse +
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from sympy import factorint
 
+from cmresidues import curves
 from cmresidues.curves import (
     DISCRIMINANTS,
     ApRecord,
@@ -282,10 +283,10 @@ def test_twisted_table_models(d):
         table[d] = _twisted_model(d, D)
         assert model_twist(d, table[d]) == D
         for t in (Fraction(1), Fraction(-5, 3)):
-            spec = CurveSpec(d, t)
+            spec = CurveSpec(d, t, table[d])
             for p in primes_in_range(5, 700):  # the short model is singular at 2 and 3
                 if spec.is_good(p):
-                    assert ap(spec, p, table=table).ap == ap_naive(spec, p, table), (D, t, p)
+                    assert ap(spec, p).ap == ap_naive(spec, p), (D, t, p)
 
 
 def test_table_model_bad_primes():
@@ -293,14 +294,14 @@ def test_table_model_bad_primes():
     # is good for the shipped model and splits in Q(√-2): both routes refuse it
     table = dict(default_table())
     table[-8] = _twisted_model(-8, -1)
-    spec = CurveSpec(-8)
-    assert spec.is_good(3) and not spec.is_good(3, table)
-    for route in (lambda: ap(spec, 3, table=table), lambda: ap_naive(spec, 3, table)):
+    spec, twisted = CurveSpec(-8), CurveSpec(-8, 1, table[-8])
+    assert spec.is_good(3) and not twisted.is_good(3)
+    for route in (lambda: ap(twisted, 3), lambda: ap_naive(twisted, 3)):
         with pytest.raises(ValueError, match="bad reduction"):
             route()
     # the shipped models' own discriminants bring no bad prime beyond 2·d
     for d, model in default_table().items():
-        assert CurveSpec(d).bad_product(dict(default_table())) == 2 * d
+        assert CurveSpec(d, 1, model).bad_product() == 2 * d
         assert set(factorint(abs(model.discriminant()))) <= {2, 3, -d}, d
 
 
@@ -309,7 +310,26 @@ def test_non_twist_model_rejected():
     table[-11] = default_table()[-19]  # CM by another order: a different j
     for p in (13, 23):  # inert and split for d = -11
         with pytest.raises(ValueError, match="not a twist"):
-            ap(CurveSpec(-11), p, table=table)
+            ap(CurveSpec(-11, 1, table[-11]), p)
+
+
+def test_spec_carries_its_model(monkeypatch):
+    shipped = default_table()
+    spec = CurveSpec(-11, 3, _twisted_model(-11, 2))
+    assert spec.twist() == 2 and spec != CurveSpec(-11, 3)
+    assert spec.bad_product() == 2 * -11 * 3 * spec.model.discriminant()
+    # the shipped model is stored as None, for every d
+    for d, model in shipped.items():
+        assert CurveSpec(d, 3, model) == CurveSpec(d, 3) and CurveSpec(d, 3, model).model is None
+        assert CurveSpec(d, 3).twist() == 1
+    # the families t alone fixes take no other model
+    for d, model in ((-4, CurveModel(0, 0, 0, -4, 0)), (-3, CurveModel(0, 0, 0, 0, 1))):
+        with pytest.raises(ValueError, match="fixed by t alone"):
+            CurveSpec(d, 1, model)
+    # a spec without a model never reads the table, nor does its closed-form trace
+    monkeypatch.setattr(curves, "default_table", lambda: pytest.fail("the table was read"))
+    for d in DISCRIMINANTS:
+        assert ap(CurveSpec(d, 3), 97).p == 97
 
 
 def test_naive_count_limit_edge():
@@ -370,11 +390,11 @@ def test_naive_traces_match_a_count_by_hand():
     table = dict(default_table())
     table[-19] = _twisted_model(-19, -3)
     twists = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 4), Fraction(7, 4))
-    specs = [CurveSpec(d, t) for d in DISCRIMINANTS for t in twists]
+    specs = [CurveSpec(d, t, table[d]) for d in DISCRIMINANTS for t in twists]
     for p in (5, 11, 13, 17, 29, 37, 41, 43, 67, 101, 163, 389):
-        good = [s for s in specs if s.is_good(p, table)]
+        good = [s for s in specs if s.is_good(p)]
         assert {s.d for s in good} >= {-4, -3, -19}, p
-        assert naive_traces(good, p, table).tolist() == [_count_by_hand(s, p, table) for s in good], p
+        assert naive_traces(good, p).tolist() == [_count_by_hand(s, p, table) for s in good], p
 
 
 def test_naive_traces_across_block_sizes():

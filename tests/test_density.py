@@ -254,16 +254,16 @@ def test_conjecture_moduli():
 
 
 def _oracle_tally(item, p_max, p_min=5, table=None):
-    spec = CurveSpec(item.d, item.t)
+    spec = CurveSpec(item.d, item.t, table and table[item.d])
     lcm_all = math.lcm(*item.moduli)
     total = 0
     tallies = {m: {} for m in item.moduli}
     for p in primes_in_range(p_min, p_max):
-        if not spec.is_good(p, table) or jacobi(item.d, p) != 1 or (p - 1) % lcm_all:
+        if not spec.is_good(p) or jacobi(item.d, p) != 1 or (p - 1) % lcm_all:
             continue
         if item.extra is not None and not classify(p, item.extra):
             continue
-        a = ap_naive(spec, p, table)
+        a = ap_naive(spec, p)
         total += 1
         for m in item.moduli:
             v = pow(a % p, (p - 1) // m, p)
@@ -759,15 +759,15 @@ def _quadratic_violations(ds, ts, p_max, table):
     out = []
     for d in ds:
         for t in ts:
-            spec = CurveSpec(d, Fraction(t))
+            spec = CurveSpec(d, Fraction(t), table[d])
             for p in primes_in_range(5, p_max):
-                if not spec.is_good(p, table) or jacobi(d, p) != 1:
+                if not spec.is_good(p) or jacobi(d, p) != 1:
                     continue
                 if p % 4 == 1:
                     expected = 1 if pow(d % p, (p - 1) // 4, p) == 1 else -1
                 else:
                     expected = -jacobi(t, p)
-                got = jacobi(ap(spec, p, table=table).ap, p)
+                got = jacobi(ap(spec, p).ap, p)
                 if expected != got:
                     out.append({"p": p, "suite": "quadratic", "expected": str(expected), "got": str(got)})
     return out
@@ -798,6 +798,24 @@ def test_calibrate_eisenstein_both_conventions_clean():
     assert out == {"two-mod-three": 0, "one-mod-three": 0}
 
 
+def test_calibrate_eisenstein_refuses_a_keyword_it_does_not_read():
+    # d = -3 has one model, so the cubic suite takes no table either
+    for kwargs in ({"workers": 4, "bogus": 1}, {"table": default_table()}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            calibrate_eisenstein(p_max=2_000, **kwargs)
+
+
+def test_a_table_with_another_quartic_model_is_refused():
+    # t alone fixes the d = -4 family: a table with another d = -4 row is refused,
+    # not read as the shipped model, by a scan and by a suite alike
+    table = dict(default_table())
+    table[-4] = CurveModel(0, 0, 0, -4, 0)
+    with pytest.raises(ValueError, match="fixed by t alone"):
+        scan_batch([ScanItem(-4, 1, (4,))], 20_000, table=table)
+    with pytest.raises(ValueError, match="fixed by t alone"):
+        verify_suite("nine-cells", p_max=20_000, table=table)
+
+
 # ---------------------------------------------------------------------------
 # The suites that take a per-prime fact once for all their twists, against the
 # loops they replaced: one (d, t) case at a time, each with its own Euler power
@@ -807,7 +825,7 @@ def test_calibrate_eisenstein_both_conventions_clean():
 
 def _reference_quadratic(seg, rec, ds, ts, oracle_bound, table):
     for c, (d, t) in enumerate((d, t) for d in ds for t in ts):
-        ps, a = seg.traces(CurveSpec(d, t), table)
+        ps, a = seg.traces(CurveSpec(d, t, table and table[d]))
         minus_t = -legendre_array(t.numerator * t.denominator, ps)
         if d == -4:
             expected = np.where(ps % 8 == 1, 1, minus_t)
@@ -819,7 +837,7 @@ def _reference_quadratic(seg, rec, ds, ts, oracle_bound, table):
 
 def _reference_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
     for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-3, t), table)
+        ps, a = seg.traces(CurveSpec(-3, t, table and table[-3]))
         rhs = [density._sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
         rec.check(c, ps, rhs, residue_orders(a, ps, (6,))[6] == 1)
 
@@ -827,7 +845,7 @@ def _reference_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
 def _reference_nine_cells(seg, rec, ds, ts, oracle_bound, table):
     cells_of = tuple(QuarticCell)
     for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-4, t), table)
+        ps, a = seg.traces(CurveSpec(-4, t, table and table[-4]))
         cells = [quartic_cell(p, t) for p in ps.tolist()]
         masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in cells_of]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))

@@ -25,5 +25,5 @@ def test_module_doctests_pass(name):
 def test_doctests_are_found():
     # a decorator that hid a docstring from doctest would pass the test above vacuously
     attempted = {name: doctest.testmod(importlib.import_module(f"cmresidues.{name}")).attempted for name in MODULES}
-    assert {name for name, n in attempted.items() if n} >= {"engine", "eisenstein", "gaussian", "prime_sets", "primes"}
+    assert {name for name, n in attempted.items() if n} >= {"curves", "engine", "eisenstein", "gaussian", "prime_sets", "primes"}
     assert attempted["gaussian"] >= 7  # split_prime's three examples among them

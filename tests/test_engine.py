@@ -47,12 +47,12 @@ def _reference_chunk(plan, bounds):
     lo, hi = bounds
     groups = {}
     for idx, it in enumerate(items):
-        groups.setdefault(CurveSpec(it.d, it.t), []).append(idx)
+        groups.setdefault(CurveSpec(it.d, it.t, table and table[it.d]), []).append(idx)
     totals = [0] * len(items)
     tallies = [{m: {} for m in it.moduli} for it in items]
     for p in primes_in_range(lo, hi):
         for spec, idxs in groups.items():
-            if not spec.is_good(p, table) or jacobi(spec.d, p) != 1:
+            if not spec.is_good(p) or jacobi(spec.d, p) != 1:
                 continue
             members = [
                 i
@@ -62,7 +62,7 @@ def _reference_chunk(plan, bounds):
             ]
             if not members:
                 continue
-            am = ap(spec, p, table=table).ap % p
+            am = ap(spec, p).ap % p
             for i in members:
                 for m in items[i].moduli:
                     o = order_dividing(pow(am, (p - 1) // m, p), m, p)
@@ -71,9 +71,9 @@ def _reference_chunk(plan, bounds):
     return totals, tallies
 
 
-def _scalar_traces(spec, lo, hi, table=None):
-    ps = [p for p in primes_in_range(lo, hi) if spec.is_good(p, table) and jacobi(spec.d, p) == 1]
-    return ps, [ap(spec, p, table=table).ap for p in ps]
+def _scalar_traces(spec, lo, hi):
+    ps = [p for p in primes_in_range(lo, hi) if spec.is_good(p) and jacobi(spec.d, p) == 1]
+    return ps, [ap(spec, p).ap for p in ps]
 
 
 def _twisted_model(d, D):
@@ -220,9 +220,9 @@ def test_engine_traces_on_twisted_table_models(d):
         table = dict(default_table())
         table[d] = _twisted_model(d, D)
         for t in (Fraction(1), Fraction(-5, 3)):
-            spec = CurveSpec(d, t)
-            ps, a = seg.traces(spec, table)
-            assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000, table), (D, t)
+            spec = CurveSpec(d, t, table[d])
+            ps, a = seg.traces(spec)
+            assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, 2, 30_000), (D, t)
 
 
 def test_traces_filtered_by_modulus():

@@ -62,6 +62,8 @@ def test_calibration_fails_a_model_twisted_by_minus_one(monkeypatch, capsys):
         (study_octic_bias, ["--heights", "3"], "bad prime range 5..3"),
         (run_acceptance_batch, ["--pmax", "600000", "--workers", "0"], "workers must be positive, got 0"),
         (study_octic_bias, ["--heights", "1e5", "--workers", "-3"], "workers must be positive, got -3"),
+        (study_octic_bias, ["--heights", "1e5", "--t", "0"], "twist parameter t must be nonzero"),
+        (study_octic_bias, ["--heights", "1e5", "--t", "abc"], "not a rational number: 'abc'"),
     ],
 )
 def test_scripts_refuse_bad_input_as_the_cli_does(script, argv, message, tmp_path, capsys):
