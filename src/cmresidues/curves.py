@@ -92,7 +92,7 @@ class CurveSpec:
     >>> CurveSpec(-4, 1, CurveModel(0, 0, 0, -4, 0))
     Traceback (most recent call last):
     ...
-    ValueError: the d = -4 family is fixed by t alone: vary t, not the model
+    ValueError: the d = -4 family is fixed by t alone: vary --t, not the model
     """
 
     d: int
@@ -139,10 +139,8 @@ class ApRecord:
 
 
 def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
-    """Parse a model table (rows ``d a1 a2 a3 a4 a6``); all nine d required.
-
-    A table read from ``path`` must keep the built-in d = -4 and d = -3 rows (ValueError).
-    """
+    """Parse a model table (rows ``d a1 a2 a3 a4 a6``); all nine d required, and each
+    row of a table read from ``path`` a model that ``CurveSpec`` takes (ValueError)."""
     if path is None:
         text = resources.files("cmresidues.data").joinpath("curves.txt").read_text()
     else:
@@ -164,11 +162,11 @@ def load_curve_table(path: str | Path | None = None) -> dict[int, CurveModel]:
         if d in table:
             raise ValueError(f"curve table line {lineno}: duplicate discriminant {d}")
         table[d] = CurveModel(*coeffs)
+        if path is not None:  # CurveSpec's rule, which checks a model against the shipped table
+            CurveSpec(d, 1, table[d])
     missing = [d for d in DISCRIMINANTS if d not in table]
     if missing:
         raise ValueError(f"curve table is missing discriminants {missing}")
-    if path is not None and any(table[d] != default_table()[d] for d in (-4, -3)):
-        raise ValueError("curve table: the d = -4 and d = -3 rows must be the built-in ones; vary --t instead")
     return table
 
 
@@ -267,7 +265,7 @@ def model_twist(d: int, model: CurveModel) -> int:
     keeps their shipped model as None), and when ``model`` has another j.
     """
     if d in (-4, -3):
-        raise ValueError(f"the d = {d} family is fixed by t alone: vary t, not the model")
+        raise ValueError(f"the d = {d} family is fixed by t alone: vary --t, not the model")
     ref = default_table()[d]
     c4, c6 = model.c_invariants()
     r4, r6 = ref.c_invariants()

@@ -20,8 +20,8 @@ and the same ``_map_segments``, one ``engine.Segment`` per segment for all
 of a suite's cases: each segment keeps its first violations by (case, p,
 sub), the merge adds the checks and sorts the kept lists by key, so
 violations list in case order, then by p, wherever the segments are cut
-and however many workers check them.  Nothing time- or host-dependent
-goes into a report.
+and however many workers check them.  Every ``CurveSpec`` is built before any
+segment runs, and nothing time- or host-dependent goes into a report.
 """
 
 from __future__ import annotations
@@ -308,21 +308,21 @@ def _scan_chunk(plan, bounds):
     split, ≡ 1 mod every modulus, in ``extra``).  The orders of all the
     moduli of a d come from one ``residue_orders`` call on the stacked primes
     that some item of each twist tallies, so they take one full power per
-    prime and distinct |a_p| (``_stacked_orders``).
+    prime and distinct |a_p| (``_stacked_orders``).  plan is (items, the curve of each).
     """
-    items, table = plan
+    items, specs = plan
     seg = Segment(*bounds)
-    groups: dict[int, dict[Fraction, list[int]]] = {}
-    for idx, it in enumerate(items):
-        groups.setdefault(it.d, {}).setdefault(it.t, []).append(idx)
+    groups: dict[int, dict[CurveSpec, list[int]]] = {}
+    for idx, spec in enumerate(specs):
+        groups.setdefault(spec.d, {}).setdefault(spec, []).append(idx)
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
     for d, twists in groups.items():
         moduli = sorted({m for idxs in twists.values() for i in idxs for m in items[i].moduli})
         cases, masks = [], []
-        for t, idxs in twists.items():
+        for spec, idxs in twists.items():
             lcms = [math.lcm(*items[i].moduli) for i in idxs]
-            ps, a = seg.traces(CurveSpec(d, t, table and table[d]), math.gcd(*lcms))
+            ps, a = seg.traces(spec, math.gcd(*lcms))
             keeps = [(ps - 1) % L == 0 for L in lcms]
             for keep, i in zip(keeps, idxs):
                 if items[i].extra is not None:
@@ -428,13 +428,14 @@ def scan_batch(
     engine's residues are uint64, so p_max may be at most 2**32, and every
     item modulus and every mod(M;…) or symord(m;…) modulus must be below it
     (no prime below 2**32 is ≡ 1 mod such a modulus); ValueError otherwise,
-    before any segment runs.
+    before any segment runs, as for a ``table`` row that ``CurveSpec`` refuses.
     """
     items = tuple(items)
     wide = [m for it in items for m in (*it.moduli, *_atom_moduli(it.extra)) if m >= P_LIMIT]
     if wide:
         raise ValueError(f"modulus {wide[0]} is past the engine's limit 2**32: moduli must be below it")
-    parts = _map_segments(partial(_scan_chunk, (items, table)), _segments(p_min, p_max), workers)
+    specs = tuple(CurveSpec(it.d, it.t, table and table[it.d]) for it in items)
+    parts = _map_segments(partial(_scan_chunk, (items, specs)), _segments(p_min, p_max), workers)
     results = [
         ItemResult(item, p_max, 0, {m: {} for m in item.moduli}) for item in items
     ]
@@ -700,10 +701,9 @@ _W2_DISCRIMINANTS = tuple(d for d in DISCRIMINANTS if unit_count(d) == 2)
 _QUARTIC_TWISTS = (1, 2, -2, 3, 6, -8)
 ORACLE_BOUND = 20_000  # trace-oracle's default: the split p it point-counts
 
-# A suite is a per-segment check fn(seg, rec, ds, ts, oracle_bound, table) over
-# all of its curves CurveSpec(d, t, table and table[d]).  The computed side of each
-# identity is read from the segment's arrays; the claimed side calls the
-# identity's own scalar implementation.
+# A suite is a per-segment check fn(seg, rec, specs): case c is the curve specs[c].
+# The computed side of each identity is read from the segment's arrays; the
+# claimed side calls the identity's own scalar implementation.
 
 
 def _by_prime(cases, values) -> list[list]:
@@ -725,32 +725,30 @@ def _naive_by_prime(cases) -> list[list[int]]:
     return _by_prime(cases, lambda specs, p: naive_traces(specs, p).tolist())
 
 
-def _suite_twist(seg, rec, ds, ts, oracle_bound, table):
+def _suite_twist(seg, rec, specs):
     """Quadratic twist law: a_p(E_t) = (t/p) · a_p(E_1) for the w=2 families.
 
     The left side is the naive count (independent of the twist bookkeeping in
     the traces), so this is not a tautology.  Inert primes check a_p(E_t) = 0.
     """
-    cases, rhs = [], []
-    for d in ds:
-        ps, a = seg.good_traces(CurveSpec(d, 1, table and table[d]))  # E_1's, for every twist of d
-        for t in ts:
-            spec = CurveSpec(d, t, table and table[d])
-            good = mod_array(spec.bad_product(), ps) != 0
-            cases.append((spec, ps[good]))
-            rhs.append(legendre_array(t.numerator * t.denominator, ps[good]) * a[good])
+    cases, rhs, ones = [], [], {}
+    for spec in specs:
+        one = CurveSpec(spec.d, 1, spec.model)  # E_1's traces, once for all the twists of d
+        ps, a = ones[one] = ones.get(one) or seg.good_traces(one)
+        good = mod_array(spec.bad_product(), ps) != 0
+        cases.append((spec, ps[good]))
+        rhs.append(legendre_array(spec.t.numerator * spec.t.denominator, ps[good]) * a[good])
     for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases))):
         rec.check(c, ps, expected, naive)
 
 
-def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
+def _suite_trace_oracle(seg, rec, specs, oracle_bound=ORACLE_BOUND):
     """d = -4 closed-form trace against the naive count, plus structure checks.
 
     For p <= oracle_bound the trace must equal the point count exactly; for
     every split p it must be even, nonzero, and satisfy the norm equation
     p = (a_p/2)² + b² exactly.  Inert p must give 0.
     """
-    specs = [CurveSpec(-4, t, table and table[-4]) for t in ts]
     traces = [seg.good_traces(spec) for spec in specs]
     lows = [(ps % 4 == 1) & (ps <= oracle_bound) for ps, _ in traces]
     naive = _naive_by_prime([(spec, ps[low]) for spec, (ps, _), low in zip(specs, traces, lows)])
@@ -764,38 +762,39 @@ def _suite_trace_oracle(seg, rec, ds, ts, oracle_bound, table):
         rec.check(c, q, True, (aq != 0) & (aq % 2 == 0) & (rem > 0) & square)
 
 
-def _suite_quadratic(seg, rec, ds, ts, oracle_bound, table):
+def _suite_quadratic(seg, rec, specs):
     """The quadratic residue class of a_p at every split prime.
 
     d ≠ -4: (a_p/p) = (d/p)_4 (Euler) for p ≡ 1 (mod 4) and -(t/p) for
     p ≡ 3 (mod 4).  d = -4: +1 for p ≡ 1 (mod 8) and -(t/p) for p ≡ 5 (mod 8).
     """
-    for i, d in enumerate(ds):
+    for d in dict.fromkeys(spec.d for spec in specs):
+        cases = [c for c, spec in enumerate(specs) if spec.d == d]  # its twists, in one stack
         split = seg.form(d)[0]
         if d != -4:  # (d/p)_4 = 1 at the split p ≡ 1 (mod 4): one Euler power per d
             one = split % 4 == 1
             quartic_d = np.zeros(len(split), dtype=bool)
             quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
-        traces = [seg.traces(CurveSpec(d, t, table and table[d])) for t in ts]
-        for j, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (2,)))):
-            minus_t = -legendre_array(t.numerator * t.denominator, ps)
+        traces = [seg.traces(specs[c]) for c in cases]
+        for c, (ps, _), orders in zip(cases, traces, _stacked_orders(traces, (2,))):
+            minus_t = -legendre_array(specs[c].t.numerator * specs[c].t.denominator, ps)
             if d == -4:
                 expected = np.where(ps % 8 == 1, 1, minus_t)
             else:
                 expected = np.where(ps % 4 == 1, np.where(quartic_d[np.searchsorted(split, ps)], 1, -1), minus_t)
-            rec.check(i * len(ts) + j, ps, expected, np.where(orders[2] == 1, 1, -1))
+            rec.check(c, ps, expected, np.where(orders[2] == 1, 1, -1))
 
 
-def _suite_cubic(seg, rec, ds, ts, oracle_bound, table, convention=PRIMARY_CONVENTION):
+def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
     """The cubic residue class of a_p (d = -3) through the mod-9 cells.
 
     (a_p/π)_3 is trivial for p ≡ 1 (mod 9), and equals (t/π)_3^(±1) on the
     other two cells of split p.
     """
-    for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-3, t, table and table[-3]))
+    for c, spec in enumerate(specs):
+        ps, a = seg.traces(spec)
         pa, pb = seg.primary(-3, ps, convention)
-        e_t = symbol_exponents(mod_array(t.numerator * t.denominator**2, ps), pa, pb, ps, 3)
+        e_t = symbol_exponents(mod_array(spec.t.numerator * spec.t.denominator**2, ps), pa, pb, ps, 3)
         expected = np.where(ps % 9 == 1, 0, np.where(ps % 9 == 4, 2 * e_t % 3, e_t))
         rec.check(c, ps, expected, symbol_exponents(a % ps, pa, pb, ps, 3))
 
@@ -812,19 +811,19 @@ def _sextic_rhs(p: int, tm: int) -> bool:
     return pow(tm, (p - 1) // 6, p) == p - 1
 
 
-def _suite_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
+def _suite_sextic_order1(seg, rec, specs):
     """Two-sided cell description of {order of the sextic class of a_p = 1}.
 
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    traces = [seg.traces(CurveSpec(-3, t, table and table[-3])) for t in ts]
-    for c, (t, (ps, _), orders) in enumerate(zip(ts, traces, _stacked_orders(traces, (6,)))):
-        rhs = [_sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
+    traces = [seg.traces(spec) for spec in specs]
+    for c, (spec, (ps, _), orders) in enumerate(zip(specs, traces, _stacked_orders(traces, (6,)))):
+        rhs = [_sextic_rhs(p, reduce_mod(spec.t, p)) for p in ps.tolist()]
         rec.check(c, ps, rhs, orders[6] == 1)
 
 
-def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):
+def _suite_odd_factor(seg, rec, specs):
     """Closed form for (ℓ/π)_4, ℓ an odd prime dividing re(π), vs Euler."""
     ps = seg.form(-4)[0]
     a, b = seg.primary(-4, ps)
@@ -839,7 +838,7 @@ def _suite_odd_factor(seg, rec, ds, ts, oracle_bound, table):
         rec.check(0, ps[i], e, closed, sub=ell)
 
 
-def _suite_two_factor(seg, rec, ds, ts, oracle_bound, table):
+def _suite_two_factor(seg, rec, specs):
     """Closed form for (2/π)_4 = (-i)^(b/2) vs Euler, all primary π."""
     ps = seg.form(-4)[0]
     a, b = seg.primary(-4, ps)
@@ -847,12 +846,12 @@ def _suite_two_factor(seg, rec, ds, ts, oracle_bound, table):
     rec.check(0, ps, symbol_exponents(np.full(len(ps), 2), a, b, ps, 4), closed)
 
 
-def _suite_trace_symbol(seg, rec, ds, ts, oracle_bound, table):
+def _suite_trace_symbol(seg, rec, specs):
     """Exponent-level closed form for (a_p/π)_4 in the quartic family."""
-    for k, t in enumerate(ts):  # the checks run p by p, then t by t
-        ps, a = seg.traces(CurveSpec(-4, t, table and table[-4]))
+    for k, spec in enumerate(specs):  # the checks run p by p, then t by t
+        ps, a = seg.traces(spec)
         pa, pb = seg.primary(-4, ps)
-        closed = [closed_form_trace_symbol(GaussInt(*ab), t).exp for ab in zip(pa.tolist(), pb.tolist())]
+        closed = [closed_form_trace_symbol(GaussInt(*ab), spec.t).exp for ab in zip(pa.tolist(), pb.tolist())]
         rec.check(0, ps, closed, symbol_exponents(a % ps, pa, pb, ps, 4), sub=k)
 
 
@@ -864,7 +863,7 @@ def _cell_list(bits) -> str:
     return str([c.value for k, c in enumerate(_CELLS) if int(bits) >> k & 1])
 
 
-def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
+def _suite_nine_cells(seg, rec, specs):
     """The nine-cell partition: membership, predicted order, pinned values.
 
     Checks that every eligible p lands in exactly the cell its set
@@ -872,11 +871,11 @@ def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
     cell's, and — on the p ≡ 1 (mod 8) cells — that the symbol value itself
     matches.
     """
-    traces = [seg.traces(CurveSpec(-4, t, table and table[-4])) for t in ts]
+    traces = [seg.traces(spec) for spec in specs]
     # prime-major, so that ``split_prime`` splits each p once for all the twists
-    claimed = _by_prime([(t, ps) for t, (ps, _) in zip(ts, traces)], lambda tp, p: [quartic_cell(p, t) for t in tp])
-    for c, (t, (ps, a), cells) in enumerate(zip(ts, traces, claimed)):
-        masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in _CELLS]
+    claimed = _by_prime([(s.t, ps) for s, (ps, _) in zip(specs, traces)], lambda tp, p: [quartic_cell(p, t) for t in tp])
+    for c, (spec, (ps, a), cells) in enumerate(zip(specs, traces, claimed)):
+        masks = [set_mask(quartic_cell_expr(cell, spec.t), ps, seg) for cell in _CELLS]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
         rec.check(c, ps, [1 << _CELLS.index(cell) for cell in cells], member, show=_cell_list)
         e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
@@ -886,32 +885,32 @@ def _suite_nine_cells(seg, rec, ds, ts, oracle_bound, table):
         rec.check(c, ps[pinned], exps[pinned], e[pinned], sub=2)
 
 
-# name -> (check, default discriminants, default twists); a suite without a
-# default fixes its own discriminant, or takes no twist
+# name -> (check, discriminants, default twists): a suite with one discriminant fixes
+# it, one without default twists takes none; its cases run d by d, then t by t
 SUITES = {
     "twist": (_suite_twist, _W2_DISCRIMINANTS, (2, 3, 5)),
-    "trace-oracle": (_suite_trace_oracle, None, _QUARTIC_TWISTS),
+    "trace-oracle": (_suite_trace_oracle, (-4,), _QUARTIC_TWISTS),
     "quadratic": (_suite_quadratic, (-3,) + _W2_DISCRIMINANTS + (-4,), (1, 2, 3)),
-    "cubic": (_suite_cubic, None, (1, 2, 3)),
-    "sextic-order1": (_suite_sextic_order1, None, (2, 3, 5)),
-    "odd-factor": (_suite_odd_factor, None, None),
-    "two-factor": (_suite_two_factor, None, None),
-    "trace-symbol": (_suite_trace_symbol, None, _QUARTIC_TWISTS),
-    "nine-cells": (_suite_nine_cells, None, _QUARTIC_TWISTS),
+    "cubic": (_suite_cubic, (-3,), (1, 2, 3)),
+    "sextic-order1": (_suite_sextic_order1, (-3,), (2, 3, 5)),
+    "odd-factor": (_suite_odd_factor, (-4,), None),
+    "two-factor": (_suite_two_factor, (-4,), None),
+    "trace-symbol": (_suite_trace_symbol, (-4,), _QUARTIC_TWISTS),
+    "nine-cells": (_suite_nine_cells, (-4,), _QUARTIC_TWISTS),
 }
 
 
-def _check_segment(name: str, check, args: tuple, cap: int, bounds: tuple[int, int]) -> tuple[int, list]:
+def _check_segment(name: str, check, specs, cap: int, bounds: tuple[int, int]) -> tuple[int, list]:
     """(checks, first violations by key) of a suite over one Segment, shared by all of its cases."""
     rec = _Recorder(name, cap)
-    check(Segment(*bounds), rec, *args)
+    check(Segment(*bounds), rec, specs)
     return rec.checked, sorted(rec.found)[:cap]
 
 
-def _run_suite(name: str, check, args: tuple, params: dict, p_max: int, cap: int, workers: int = 1):
+def _run_suite(name: str, check, specs, params: dict, p_max: int, cap: int, workers: int = 1):
     """The segments of [5, p_max) on ``workers`` processes, as a scan's; the violations,
     in case order and then by p for any segment cut, merge by key and are cut to the cap once."""
-    fn = partial(_check_segment, name, check, args, cap)
+    fn = partial(_check_segment, name, check, specs, cap)
     parts = _map_segments(fn, _segments(5, max(p_max, 5)), workers)
     found = sorted(kv for _, kept in parts for kv in kept)[:cap]
     return SuiteResult(name, sum(n for n, _ in parts), [v for _, v in found], params)
@@ -934,10 +933,10 @@ def verify_suite(
     fixes its own d, odd-factor and two-factor take no twists, and only
     trace-oracle reads ``oracle_bound``.  Passing what a suite cannot honour
     raises ValueError instead of being ignored, and so do a negative bound,
-    p_max > 2**32 (the engine's limit) and a range that could need a naive
-    count past ``curves._NAIVE_LIMIT``: twist counts every good p < p_max,
-    trace-oracle the split p <= oracle_bound.  ``workers`` is ``scan_batch``'s:
-    the result does not depend on it.
+    p_max > 2**32 (the engine's limit), a case's curve that ``CurveSpec`` refuses
+    and a range that could need a naive count past ``curves._NAIVE_LIMIT`` (twist
+    counts every good p < p_max, trace-oracle the split p <= oracle_bound).
+    ``workers`` is ``scan_batch``'s: the result does not depend on it.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
@@ -952,23 +951,25 @@ def verify_suite(
             f"past the int64-safe limit {_NAIVE_LIMIT}"
         )
     check, default_ds, default_ts = SUITES[name]
-    if ds is not None and default_ds is None:
-        with_ds = tuple(n for n, suite in SUITES.items() if suite[1])
+    if ds is not None and len(default_ds) == 1:
+        with_ds = tuple(n for n, suite in SUITES.items() if len(suite[1]) > 1)
         raise ValueError(f"suite {name!r} fixes its own discriminant; only {with_ds} take one")
     if ts is not None and default_ts is None:
         raise ValueError(f"suite {name!r} takes no twist parameter")
     if ds and not set(ds) <= set(default_ds):
         raise ValueError(f"{name} suite covers the discriminants {default_ds}, got {ds}")
     ds, ts = ds or default_ds, tuple(Fraction(t) for t in ts or default_ts or ())
-    params = {"ds": list(ds)} if default_ds else {}
+    params = {"ds": list(ds)} if len(default_ds) > 1 else {}
     if default_ts:
         params["ts"] = [str(t) for t in ts]
     params["p_max"] = p_max
     if name == "trace-oracle":
         params["oracle_bound"] = oracle_bound
+        check = partial(check, oracle_bound=oracle_bound)
     if name == "cubic":
         params["convention"] = PRIMARY_CONVENTION
-    return _run_suite(name, check, (ds, ts, oracle_bound, table), params, p_max, max_violations, workers)
+    specs = [CurveSpec(d, t, table and table[d]) for d in ds for t in ts]
+    return _run_suite(name, check, specs, params, p_max, max_violations, workers)
 
 
 def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5)) -> dict[str, int]:
@@ -979,9 +980,9 @@ def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5)) -> dict[str, int]:
     PRIMARY_CONVENTION safe.  Kept as a harness so the frozen choice stays
     an observable fact rather than an assumption.
     """
-    args = (None, tuple(Fraction(t) for t in ts), None, None)
+    specs = [CurveSpec(-3, t) for t in ts]
     out = {}
     for convention in ("two-mod-three", "one-mod-three"):
         check = partial(_suite_cubic, convention=convention)
-        out[convention] = len(_run_suite("cubic", check, args, {}, p_max, _VIOLATION_CAP).violations)
+        out[convention] = len(_run_suite("cubic", check, specs, {}, p_max, _VIOLATION_CAP).violations)
     return out

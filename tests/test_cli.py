@@ -531,6 +531,21 @@ def test_curve_table_fixed_families_exit_2(tmp_path, capsys, argv):
     assert "vary --t" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("density", "--d", "-7", "--m", "2"), ("verify", "--suite", "two-factor")]
+)
+def test_curve_table_non_twist_row_exits_2_unscanned(tmp_path, capsys, argv):
+    # every row is checked at load, also the row of a d the command never reads:
+    # a d = -19 model with the j-invariant of d = -11 is no twist of E^-19
+    models = dict(default_table())
+    models[-19] = models[-11]
+    f = tmp_path / "other_j.txt"
+    f.write_text("".join(f"{d} {m.a1} {m.a2} {m.a3} {m.a4} {m.a6}\n" for d, m in models.items()))
+    code, out, err = run(capsys, *argv, "--pmax", "2000", "--curve-table", str(f))
+    assert code == 2 and out == ""
+    assert "for d = -19 is not a twist" in err
+
+
 def test_verify_doctored_table_exits_1(tmp_path, capsys):
     f = _twisted_table_file(tmp_path)
     code, out, _ = run(

@@ -805,15 +805,22 @@ def test_calibrate_eisenstein_refuses_a_keyword_it_does_not_read():
             calibrate_eisenstein(p_max=2_000, **kwargs)
 
 
-def test_a_table_with_another_quartic_model_is_refused():
+def test_a_table_with_another_quartic_model_is_refused(monkeypatch):
     # t alone fixes the d = -4 family: a table with another d = -4 row is refused,
-    # not read as the shipped model, by a scan and by a suite alike
+    # not read as the shipped model, by a scan and by a suite alike, and so is a
+    # zero twist, before any segment runs
+    def no_scan(*args):
+        raise AssertionError("a segment ran")
+
+    monkeypatch.setattr(density, "_map_segments", no_scan)
     table = dict(default_table())
     table[-4] = CurveModel(0, 0, 0, -4, 0)
     with pytest.raises(ValueError, match="fixed by t alone"):
         scan_batch([ScanItem(-4, 1, (4,))], 20_000, table=table)
     with pytest.raises(ValueError, match="fixed by t alone"):
         verify_suite("nine-cells", p_max=20_000, table=table)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        verify_suite("cubic", ts=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +830,10 @@ def test_a_table_with_another_quartic_model_is_refused():
 # each twist.  Kept as references, as ``_reference_chunk`` is for the engine.
 
 
-def _reference_quadratic(seg, rec, ds, ts, oracle_bound, table):
-    for c, (d, t) in enumerate((d, t) for d in ds for t in ts):
-        ps, a = seg.traces(CurveSpec(d, t, table and table[d]))
+def _reference_quadratic(seg, rec, specs):
+    for c, spec in enumerate(specs):
+        d, t = spec.d, spec.t
+        ps, a = seg.traces(spec)
         minus_t = -legendre_array(t.numerator * t.denominator, ps)
         if d == -4:
             expected = np.where(ps % 8 == 1, 1, minus_t)
@@ -835,17 +843,18 @@ def _reference_quadratic(seg, rec, ds, ts, oracle_bound, table):
         rec.check(c, ps, expected, np.where(residue_orders(a, ps, (2,))[2] == 1, 1, -1))
 
 
-def _reference_sextic_order1(seg, rec, ds, ts, oracle_bound, table):
-    for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-3, t, table and table[-3]))
-        rhs = [density._sextic_rhs(p, reduce_mod(t, p)) for p in ps.tolist()]
+def _reference_sextic_order1(seg, rec, specs):
+    for c, spec in enumerate(specs):
+        ps, a = seg.traces(spec)
+        rhs = [density._sextic_rhs(p, reduce_mod(spec.t, p)) for p in ps.tolist()]
         rec.check(c, ps, rhs, residue_orders(a, ps, (6,))[6] == 1)
 
 
-def _reference_nine_cells(seg, rec, ds, ts, oracle_bound, table):
+def _reference_nine_cells(seg, rec, specs):
     cells_of = tuple(QuarticCell)
-    for c, t in enumerate(ts):
-        ps, a = seg.traces(CurveSpec(-4, t, table and table[-4]))
+    for c, spec in enumerate(specs):
+        t = spec.t
+        ps, a = seg.traces(spec)
         cells = [quartic_cell(p, t) for p in ps.tolist()]
         masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in cells_of]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
@@ -871,11 +880,9 @@ UNEVEN_TWISTS = (Fraction(5), Fraction(7, 3), Fraction(-10), Fraction(3, 5))
 def test_suite_matches_its_per_case_reference(name, doctored, monkeypatch):
     monkeypatch.setattr(density, "_CHUNK", 7_000)  # three segments
     table = _doctored_table() if doctored else None
-    ds = density.SUITES[name][1]
+    specs = [CurveSpec(d, t, table and table[d]) for d in density.SUITES[name][1] for t in UNEVEN_TWISTS]
     res = verify_suite(name, ts=UNEVEN_TWISTS, p_max=20_000, table=table)
-    ref = density._run_suite(
-        name, REFERENCE_SUITES[name], (ds, UNEVEN_TWISTS, density.ORACLE_BOUND, table), res.params, 20_000, 1000
-    )
+    ref = density._run_suite(name, REFERENCE_SUITES[name], specs, res.params, 20_000, 1000)
     assert res.checked > 0
     assert (res.checked, res.violations) == (ref.checked, ref.violations)
     if name == "quadratic" and doctored:

@@ -41,13 +41,18 @@ TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 4), Fraction(-7, 4
 EDGE = (P_LIMIT - 20_000, P_LIMIT)
 
 
+def _plan(items, table=None):
+    """A scan chunk's plan: the items and the curve of each, as ``scan_batch`` builds them."""
+    return items, tuple(CurveSpec(it.d, it.t, table and table[it.d]) for it in items)
+
+
 def _reference_chunk(plan, bounds):
     """The per-prime scan loop: sieve, split test, ``ap``, ``classify``, ``order_dividing``."""
-    items, table = plan
+    items, specs = plan
     lo, hi = bounds
     groups = {}
-    for idx, it in enumerate(items):
-        groups.setdefault(CurveSpec(it.d, it.t, table and table[it.d]), []).append(idx)
+    for idx, spec in enumerate(specs):
+        groups.setdefault(spec, []).append(idx)
     totals = [0] * len(items)
     tallies = [{m: {} for m in it.moduli} for it in items]
     for p in primes_in_range(lo, hi):
@@ -414,7 +419,7 @@ def test_symord_mask_with_a_large_m_and_a_rational_t():
 def test_scan_chunk_matches_reference_on_the_sweep():
     assert len(SWEEP) == 40
     # m = 1: every split prime is ≡ 1 (mod 1), and its 1-class has order 1
-    plan = (SWEEP + (ScanItem(-7, Fraction(1), (1,)), ScanItem(-3, Fraction(2), (1, 6))), None)
+    plan = _plan(SWEEP + (ScanItem(-7, Fraction(1), (1,)), ScanItem(-3, Fraction(2), (1, 6))))
     assert _scan_chunk(plan, (5, 60_000)) == _reference_chunk(plan, (5, 60_000))
 
 
@@ -422,7 +427,7 @@ def test_scan_chunk_matches_reference_with_a_table():
     table = dict(default_table())
     table[-11] = _twisted_model(-11, 2)
     items = (ScanItem(-11, Fraction(1), (2, 4)), ScanItem(-11, Fraction(-3, 4), (2,), parse_set("g8(5)")))
-    plan = (items, table)
+    plan = _plan(items, table)
     assert _scan_chunk(plan, (2, 30_000)) == _reference_chunk(plan, (2, 30_000))
 
 
@@ -437,7 +442,7 @@ def test_octic_scan_takes_two_full_powers(monkeypatch):
         return pow_array(base, exp, ps)
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
-    plan = ((ScanItem(-4, Fraction(3), (8, 4)),), None)
+    plan = _plan((ScanItem(-4, Fraction(3), (8, 4)),))
     totals, _ = _scan_chunk(plan, (10**6, 10**6 + 250_000))
     assert totals[0] > 0
     assert len(full) == 2
@@ -466,7 +471,7 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     monkeypatch.setattr(density, "residue_orders", residue_stage)
-    _scan_chunk((SWEEP, None), (5, 60_000))
+    _scan_chunk(_plan(SWEEP), (5, 60_000))
     powered = [(p, x) for inside, ps, base in full if inside for p, x in zip(ps.tolist(), base.tolist())]
     monkeypatch.undo()
     seg = Segment(5, 60_000)
@@ -496,7 +501,7 @@ def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     check = density.SUITES["nine-cells"][0]
-    checked, found = density._check_segment("nine-cells", check, ((-4,), (Fraction(3),), 0, None), 10, (5, 20_000))
+    checked, found = density._check_segment("nine-cells", check, [CurveSpec(-4, 3)], 10, (5, 20_000))
     assert checked > 0 and found == []
     assert len(full) == 4
 
@@ -532,7 +537,7 @@ def test_engine_at_the_width_edge(monkeypatch):
         assert (ps.tolist(), a.tolist()) == _scalar_traces(spec, *EDGE), d
     monkeypatch.setattr(density, "_CHUNK", 7_919)
     got = scan_batch(SWEEP, EDGE[1], p_min=EDGE[0])
-    totals, tallies = _reference_chunk((SWEEP, None), EDGE)
+    totals, tallies = _reference_chunk(_plan(SWEEP), EDGE)
     assert [r.total for r in got] == totals and sum(totals) > 0
     assert [r.tallies for r in got] == tallies
 
