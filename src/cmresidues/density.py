@@ -47,7 +47,6 @@ from .engine import (
     legendre_array,
     mod_array,
     pow_array,
-    residue_orders,
     set_mask,
     symbol_exponents,
 )
@@ -289,53 +288,43 @@ def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, p_max)) for lo in range(p_min, p_max, _CHUNK)]
 
 
-def _stacked_orders(cases, moduli) -> list[dict[int, np.ndarray]]:
-    """``residue_orders`` of the (ps, a) of each twist of one d, in one call on the
-    stacked arrays (so one full power per distinct (p, |a_p| mod p) over all of
-    them), cut back into one dict per twist."""
-    ps, a = (np.concatenate([np.empty(0, dtype=np.int64)] + [c[j] for c in cases]) for j in (0, 1))
-    cuts = np.cumsum([len(c[0]) for c in cases])[:-1]
-    orders = residue_orders(a, ps, moduli)
-    return [dict(zip(orders, parts)) for parts in zip(*(np.split(o, cuts) for o in orders.values()))]
-
-
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
     Sieve and norm form run once per d, the trace once per (d, t) group and
     only at primes ≡ 1 mod the gcd of its items' lcm(moduli), where every
     eligible set lies; the eligible set of each item is one mask (good,
-    split, ≡ 1 mod every modulus, in ``extra``).  The orders of all the
-    moduli of a d come from one ``residue_orders`` call on the stacked primes
-    that some item of each twist tallies, so they take one full power per
-    prime and distinct |a_p| (``_stacked_orders``).  plan is (items, the curve of each).
+    split, ≡ 1 mod every modulus, in ``extra``).  Each twist takes the orders
+    of all the moduli of its d at the primes that some of its items tally
+    (``Segment.orders``, which the twists of d share), and each item's tally
+    is one ``np.bincount`` over the divisors of m.  plan is (items, the curve of each).
     """
     items, specs = plan
     seg = Segment(*bounds)
     groups: dict[int, dict[CurveSpec, list[int]]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.d, {}).setdefault(spec, []).append(idx)
+    divisors = {m: np.array(_divisors(m)) for it in items for m in it.moduli}  # an order divides m: no array of length m
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
     for d, twists in groups.items():
         moduli = sorted({m for idxs in twists.values() for i in idxs for m in items[i].moduli})
-        cases, masks = [], []
         for spec, idxs in twists.items():
             lcms = [math.lcm(*items[i].moduli) for i in idxs]
-            ps, a = seg.traces(spec, math.gcd(*lcms))
+            ps, c, e = seg.units(spec, math.gcd(*lcms))
             keeps = [(ps - 1) % L == 0 for L in lcms]
             for keep, i in zip(keeps, idxs):
                 if items[i].extra is not None:
                     keep &= set_mask(items[i].extra, ps, seg)
             some = np.logical_or.reduce(keeps)
-            cases.append((ps[some], a[some]))
-            masks.append([keep[some] for keep in keeps])
-        for idxs, keeps, orders in zip(twists.values(), masks, _stacked_orders(cases, moduli)):
+            orders = seg.orders(d, (ps[some], c[:, some], e[some]), moduli)
             for i, keep in zip(idxs, keeps):
+                keep = keep[some]
                 totals[i] = int(keep.sum())
                 for m in items[i].moduli:
-                    found, counts = np.unique(orders[m][keep], return_counts=True)
-                    tallies[i][m] = dict(zip(found.tolist(), counts.tolist()))
+                    counts = np.bincount(np.searchsorted(divisors[m], orders[m][keep]))
+                    found = np.flatnonzero(counts)
+                    tallies[i][m] = dict(zip(divisors[m][found].tolist(), counts[found].tolist()))
     return totals, tallies
 
 
@@ -769,20 +758,19 @@ def _suite_quadratic(seg, rec, specs):
     p ≡ 3 (mod 4).  d = -4: +1 for p ≡ 1 (mod 8) and -(t/p) for p ≡ 5 (mod 8).
     """
     for d in dict.fromkeys(spec.d for spec in specs):
-        cases = [c for c, spec in enumerate(specs) if spec.d == d]  # its twists, in one stack
         split = seg.form(d)[0]
         if d != -4:  # (d/p)_4 = 1 at the split p ≡ 1 (mod 4): one Euler power per d
             one = split % 4 == 1
             quartic_d = np.zeros(len(split), dtype=bool)
             quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
-        traces = [seg.traces(specs[c]) for c in cases]
-        for c, (ps, _), orders in zip(cases, traces, _stacked_orders(traces, (2,))):
+        for c in (c for c, spec in enumerate(specs) if spec.d == d):
+            ps, _, _ = units = seg.units(specs[c])
             minus_t = -legendre_array(specs[c].t.numerator * specs[c].t.denominator, ps)
             if d == -4:
                 expected = np.where(ps % 8 == 1, 1, minus_t)
             else:
                 expected = np.where(ps % 4 == 1, np.where(quartic_d[np.searchsorted(split, ps)], 1, -1), minus_t)
-            rec.check(c, ps, expected, np.where(orders[2] == 1, 1, -1))
+            rec.check(c, ps, expected, np.where(seg.orders(d, units, (2,))[2] == 1, 1, -1))
 
 
 def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
@@ -817,10 +805,10 @@ def _suite_sextic_order1(seg, rec, specs):
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    traces = [seg.traces(spec) for spec in specs]
-    for c, (spec, (ps, _), orders) in enumerate(zip(specs, traces, _stacked_orders(traces, (6,)))):
+    for c, spec in enumerate(specs):
+        ps, _, _ = units = seg.units(spec)
         rhs = [_sextic_rhs(p, reduce_mod(spec.t, p)) for p in ps.tolist()]
-        rec.check(c, ps, rhs, orders[6] == 1)
+        rec.check(c, ps, rhs, seg.orders(spec.d, units, (6,))[6] == 1)
 
 
 def _suite_odd_factor(seg, rec, specs):

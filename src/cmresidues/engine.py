@@ -14,7 +14,7 @@ work at all:
   ``_BLOCK`` points and only through the admissible parity, keeps the
   prime values and sorts them by p once; the primary divisors in Z[i]
   and Z[ω] follow from them;
-* trace: ``Segment.traces`` evaluates a_p by the closed forms of
+* trace: ``Segment.units`` evaluates a_p by the closed forms of
   ``curves.ap`` at the primes ≡ 1 mod a given modulus only, with Legendre
   tables mod |d| and mod 8 for the base traces.  The twist's characters
   (t/π)_4, (t/π)_3 and (t/p) come from the segment's one character table
@@ -25,12 +25,13 @@ work at all:
   segment and k, the quartic and cubic ones by comparing v·b with ∓a mod
   p (so no modular inverse: ``symbol_exponents``);
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
-* order: ``residue_orders`` takes the orders of a stack of twists of one d
-  in one call.  At a split prime the twists' a_p differ by a sign and among
-  at most three values of |a_p|, so with g = gcd(p - 1, lcm of the d's
-  moduli) and k = (p-1)/g it takes one full power |a_p|^k per distinct
-  (p, |a_p| mod p), and applies the sign as (-1)^k.  Each m-class
-  a^((p-1)/m) = w^(g/m) of w = a^k is read off the order of w, which
+* order: a twist multiplies Frobenius by a unit of O_K, so at a split
+  prime every twist of d has a_p = ±c for one of w/2 traces c that p
+  alone fixes (``Segment.units``).  With g = gcd(p - 1, lcm of the d's
+  moduli) and k = (p-1)/g, ``Segment.orders`` keeps |c|^k per (p, unit) for
+  all the twists of d, so a prime takes at most w/2 full powers, and
+  applies the sign as (-1)^k.  Each m-class a^((p-1)/m) = w^(g/m) of
+  w = a^k is read off the order of w (``residue_orders``), which
   ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the
   lcm.  ``Segment.symord`` keeps the orders of the symord(m; t; ·) atoms
   per (m, t), whatever n.
@@ -140,20 +141,17 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
     return order
 
 
-def residue_orders(a: np.ndarray, ps: np.ndarray, moduli) -> dict[int, np.ndarray]:
+def residue_orders(a: np.ndarray, ps: np.ndarray, moduli, power=None) -> dict[int, np.ndarray]:
     """m -> order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m),
-    0 elsewhere, for every m in moduli; ps may repeat a prime, as the stacked twists
-    of one d do.
+    0 elsewhere, for every m in moduli.
 
-    With M = lcm(moduli), g = gcd(p - 1, M) and k = (p-1)/g, the power
-    w = a^k = (-1)^k·|a|^k has order dividing g, and for m | g the m-class
-    a^((p-1)/m) = w^(g/m) has order ord(w)/gcd(ord(w), g/m).  |a|^k is taken once
-    per distinct (p, |a| mod p), found by ``np.unique`` on p·2³² + |a| mod p
-    (exact, as p < 2³²): at a split prime the twists of one d differ by a sign and
-    among at most three values of |a_p|.  ``order_array`` then finds ord(w), and
-    raises where a ≡ 0 at a prime it powers.
+    With M = lcm(moduli), g = gcd(p - 1, M) and k = (p-1)/g, the power w = a^k =
+    (-1)^k·|a|^k has order dividing g, and for m | g the m-class a^((p-1)/m) = w^(g/m)
+    has order ord(w)/gcd(ord(w), g/m).  |a|^k is ``pow_array(v, k, q)``, v = |a| mod q,
+    at the primes q = ps[sel] where some m divides p - 1, or ``power(v, k, q, sel)``
+    (``Segment.orders``); ``order_array`` finds ord(w), and raises where a ≡ 0 there.
 
-    One power of 3 mod 13 serves a = 3 and a = -3, which (-1)^3 tells apart:
+    The sign of a counts where k is odd, as at 13 (k = 3):
 
     >>> orders = residue_orders(np.array([3, -3, 3]), np.array([13, 13, 17]), (4, 2))
     >>> {m: o.tolist() for m, o in orders.items()}
@@ -165,9 +163,7 @@ def residue_orders(a: np.ndarray, ps: np.ndarray, moduli) -> dict[int, np.ndarra
     q, aq = ps[sel], a[sel]
     k = (q - 1) // g[sel]
     v = np.abs(aq) % q
-    _, first, back = np.unique(q.astype(np.uint64) << np.uint64(32) | v.astype(np.uint64),
-                               return_index=True, return_inverse=True)
-    w = pow_array(v[first], k[first], q[first])[back]
+    w = pow_array(v, k, q) if power is None else power(v, k, q, sel)
     w = np.where((k % 2 == 1) & (aq < 0), q - w, w)  # q - 0 is still ≡ 0
     order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
     order[sel] = order_array(w, M, q)
@@ -250,7 +246,8 @@ class Segment:
     def __init__(self, lo: int, hi: int):
         self.lo, self.hi = lo, hi
         self.primes = prime_array(lo, hi)
-        self._is_prime: np.ndarray | None = None
+        self._place = np.full(max(0, hi - lo), -1, dtype=np.int32)  # n's index in primes, -1 off them
+        self._place[self.primes - lo] = np.arange(len(self.primes), dtype=np.int32)
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._memos: dict[tuple, np.ndarray] = {}  # per key, a value >= 0 at each prime asked for
 
@@ -259,9 +256,6 @@ class Segment:
         its unique solution x, y > 0 of the norm form of d (see ``_FORMS``)."""
         if d in self._forms:
             return self._forms[d]
-        if self._is_prime is None:
-            self._is_prime = np.zeros(max(0, self.hi - self.lo), dtype=bool)
-            self._is_prime[self.primes - self.lo] = True
         D, scale, y0, ystep, alpha, beta = _form(d)
         lo, hi = scale * self.lo, scale * self.hi  # the form's values lie in [lo, hi)
         ys = np.arange(y0, isqrt(max(0, hi - 2) // D) + 1, ystep, dtype=np.int64)
@@ -281,21 +275,21 @@ class Segment:
             x = x0[row] + 2 * (k - starts[row])
             y = ys[row]
             p = (x * x + D * y * y) // scale
-            prime = self._is_prime[p - self.lo]
+            prime = self._place[p - self.lo] >= 0
             hits.append((p[prime], x[prime], y[prime]))
         p, x, y = (np.concatenate(c) for c in zip(*hits))
         by_p = np.argsort(p)  # one solution per split prime, so p has no repeats
         self._forms[d] = out = (p[by_p], x[by_p], y[by_p])
         return out
 
-    def _memo(self, key: tuple, ps: np.ndarray, fill) -> np.ndarray:
-        """fill(new) >= 0 at ps[new] (ps primes of the segment, new a mask on ps), kept
-        per key in one array over ``self.primes``, -1 where not yet asked, so that fill
-        meets each prime once, and only the primes asked for."""
+    def _memo(self, key: tuple, ps: np.ndarray, fill, slot=0, slots: int = 1) -> np.ndarray:
+        """fill(new) >= 0 at ps[new] (ps primes of the segment, new a mask on ps), kept per
+        key in ``slots`` entries per prime of ``self.primes`` (slot an int or an array on ps),
+        -1 where not yet asked, so that fill meets each (prime, slot) once, when asked."""
         if key not in self._memos:
-            self._memos[key] = np.full(len(self.primes), -1, dtype=np.int64)
+            self._memos[key] = np.full(len(self.primes) * slots, -1, dtype=np.int64)
         memo = self._memos[key]
-        at = np.searchsorted(self.primes, ps)
+        at = self._place[ps - self.lo] * slots + slot
         new = memo[at] < 0
         if new.any():
             memo[at[new]] = fill(new)
@@ -352,22 +346,22 @@ class Segment:
 
         return self._memo(("character", k, base), ps, euler)
 
-    def traces(self, spec: CurveSpec, modulus: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """(p, a_p) at every good prime p ≡ 1 (mod modulus) of E_t split in d, increasing
-        in p (cf. ``curves.ap``); the other primes cost no modular power."""
+    def units(self, spec: CurveSpec, modulus: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, c, e) at every good prime p ≡ 1 (mod modulus) of E_t split in d, increasing in
+        p: the w/2 traces c (rows) that p fixes for all twists of d, and E_t's unit index e,
+        a_p = c[e] or -c[e - w/2] (cf. ``curves.ap``); other primes cost no modular power."""
         d, t = spec.d, spec.t
         ps, x, y = self.form(d)
         keep = (ps - 1) % modulus == 0
         keep[keep] = mod_array(spec.bad_product(), ps[keep]) != 0
         ps, x, y = ps[keep], x[keep], y[keep]
-        if d == -4:
+        if d == -4:  # (2a, 2b, -2a, -2b) by (t/π)_4 = i^e
             a, b = _gaussian_primary(x, y)
-            return ps, np.choose(self.character(t, ps, 4, (a, b)), [2 * a, 2 * b, -2 * a, -2 * b])  # (t/π)_4 = i^e
-        if d == -3:
+            return ps, np.array([2 * a, 2 * b]), self.character(t, ps, 4, (a, b))
+        if d == -3:  # -(t/p)·Tr(ω^e·π) by (t/π)_3 = ω^e
             a, b = _eisenstein_primary(x, y)
-            e = self.character(t, ps, 3, (a, b))  # (t/π)_3 = ω^e
-            trace = np.choose(e, [2 * a - b, -a - b, 2 * b - a])  # Tr(ω^e·π)
-            return ps, np.where(self.character(t, ps, 2) == 1, trace, -trace)  # -(t/p)·trace
+            e = self.character(t, ps, 3, (a, b)) + 3 * (1 - self.character(t, ps, 2))
+            return ps, np.array([2 * a - b, -a - b, 2 * b - a]), e
         # the base trace of the shipped model (``curves._base_trace``) from Legendre tables
         if d == -8:  # (-2/x)·2x, negated when y ≡ 2 (mod 4)
             chi = np.array([jacobi(-2, r) if r % 2 else 0 for r in range(8)])
@@ -376,7 +370,24 @@ class Segment:
             chi = np.array([jacobi(r, -d) for r in range(-d)])
             base = (1 if d == -7 else -1) * chi[x % -d] * x
         s = -t if d == -7 else t
-        return ps, np.where(self.character(s * spec.twist(), ps, 2) == 1, -base, base)  # (s·D/p)·base
+        return ps, base[None], self.character(s * spec.twist(), ps, 2)  # (s·D/p)·base
+
+    def traces(self, spec: CurveSpec, modulus: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(p, a_p) at the primes of ``units``: c[e] for e < w/2, else -c[e - w/2]."""
+        ps, c, e = self.units(spec, modulus)
+        return ps, np.choose(e, [*c, *-c])
+
+    def orders(self, d: int, units, moduli) -> dict[int, np.ndarray]:
+        """``residue_orders`` of a_p at units, ``units`` of a twist of d or a subset of its
+        primes.  |a_p| = |c[e mod w/2]|, so one memo per d and lcm(moduli), shared by the
+        twists of d, keeps |a_p|^k per (p, e mod w/2): at most w/2 full powers a prime."""
+        ps, c, e = units
+        key, j = ("power", d, lcm(*moduli)), e % len(c)
+
+        def power(v, k, q, sel):
+            return self._memo(key, q, lambda new: pow_array(v[new], k[new], q[new]), j[sel], len(c))
+
+        return residue_orders(np.choose(e, [*c, *-c]), ps, moduli, power)
 
     def good_traces(self, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
         """(p, a_p) at every good prime of E_t, a_p = 0 at the inert ones (cf. ``curves.ap``)."""

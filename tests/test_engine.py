@@ -17,7 +17,7 @@ import pytest
 from cmresidues import density, engine
 from cmresidues.cli import main
 from cmresidues.curves import DISCRIMINANTS, CurveModel, CurveSpec, ap, default_table
-from cmresidues.density import ScanItem, _scan_chunk, _stacked_orders, scan_batch
+from cmresidues.density import ScanItem, _scan_chunk, scan_batch
 from cmresidues.eisenstein import cubic_exponent, split_prime_eis
 from cmresidues.engine import (
     P_LIMIT,
@@ -124,48 +124,17 @@ def test_residue_orders_match_order_dividing(bounds):
     ps = prime_array(*bounds)
     rng = np.random.default_rng(2006)
     a = rng.integers(1, ps) * rng.choice([-1, 1], len(ps))  # signed, as traces are
-    b = np.where(rng.random(len(ps)) < 0.5, -a, rng.integers(1, ps))  # |b| = |a| at about half the primes
-    half = np.arange(len(ps)) % 2 == 0
     odd_k = False
     for moduli in ORDER_MODULI:
         M = math.lcm(*moduli)
         g = np.gcd(ps - 1, M)
         assert M == 2 or ((1 < g) & (g < M)).any()  # a power w of order below M, not only M
         odd_k |= ((ps - 1) // g % 2 == 1).any()  # k = (p-1)/g odd: the sign of a counts
-        # one case alone, then stacked twists in one call that share the power
-        # of |a|: a again, -a, b, and b at half the primes
-        cases = [(ps, a), (ps, -a), (ps, b), (ps[half], b[half])]
-        got = [residue_orders(a, ps, moduli)] + _stacked_orders(cases, moduli)
-        for (q, x), orders in zip([(ps, a)] + cases, got, strict=True):
-            assert set(orders) == set(moduli)
-            for m in moduli:
-                assert orders[m].tolist() == _scalar_orders(x, q, m), (moduli, m)
+        orders = residue_orders(a, ps, moduli)
+        assert set(orders) == set(moduli)
+        for m in moduli:
+            assert orders[m].tolist() == _scalar_orders(a, ps, m), (moduli, m)
     assert odd_k
-
-
-def test_stacked_residue_orders_power_each_distinct_pair_once(monkeypatch):
-    # stacked twists repeat each prime; |a| mod p takes few values there, and
-    # a + sign(a)·p has the same one, so the power is shared across the stack
-    ps = prime_array(2, 30_000)
-    rng = np.random.default_rng(18)
-    a = rng.integers(1, ps) * rng.choice([-1, 1], len(ps))
-    b = np.where(rng.random(len(ps)) < 0.5, -a, rng.integers(1, ps))
-    q = np.concatenate([ps, ps, ps, ps[::2]])
-    x = np.concatenate([a, -a, b, a[::2] + np.sign(a[::2]) * ps[::2]])
-    full = []
-
-    def counting_pow(base, exp, ps):
-        if isinstance(exp, np.ndarray):
-            full.append(list(zip(ps.tolist(), base.tolist())))
-        return pow_array(base, exp, ps)
-
-    monkeypatch.setattr(engine, "pow_array", counting_pow)
-    residue_orders(x, q, (8, 4))
-    sel = (q - 1) % 4 == 0  # the primes where some modulus divides p - 1
-    pairs = set(zip(q[sel].tolist(), (np.abs(x[sel]) % q[sel]).tolist()))
-    assert len(full) == 1
-    assert sorted(full[0]) == sorted(pairs)  # each pair once
-    assert 2 * len(pairs) < sel.sum()
 
 
 def test_residue_orders_reject_zero():
@@ -451,26 +420,33 @@ def test_octic_scan_takes_two_full_powers(monkeypatch):
         assert len(ps) > 0 and (ps % 8 == 1).all()
 
 
-def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
-    # the twists of one d share |a_p| among at most three values at a prime,
-    # so the orders take one full power per distinct (p, |a_p|) that some
-    # item tallies, not one per (d, t) group
+def _count_full_powers(monkeypatch):
+    """(inside ``Segment.orders``, ps, base) of every full-exponent ``pow_array`` call."""
     full, stage = [], []
+    orders = Segment.orders
 
     def counting_pow(base, exp, ps):
         if isinstance(exp, np.ndarray):
             full.append((bool(stage), ps.copy(), base.copy()))
         return pow_array(base, exp, ps)
 
-    def residue_stage(*args):
+    def orders_stage(*args):
         stage.append(True)
         try:
-            return residue_orders(*args)
+            return orders(*args)
         finally:
             stage.pop()
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
-    monkeypatch.setattr(density, "residue_orders", residue_stage)
+    monkeypatch.setattr(Segment, "orders", orders_stage)
+    return full
+
+
+def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
+    # at a split prime the twists of one d have a_p = ±c for one of w_d/2
+    # candidates c, so the orders power each (p, |c|) that some item tallies
+    # once for all of the d's twists, and nothing else
+    full = _count_full_powers(monkeypatch)
     _scan_chunk(_plan(SWEEP), (5, 60_000))
     powered = [(p, x) for inside, ps, base in full if inside for p, x in zip(ps.tolist(), base.tolist())]
     monkeypatch.undo()
@@ -482,11 +458,49 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
         if it.extra is not None:
             keep &= set_mask(it.extra, ps, seg)
         tallied |= set(zip(ps[keep].tolist(), (np.abs(a[keep]) % ps[keep]).tolist()))
-    assert sorted(powered) == sorted(tallied)  # each pair once
-    # the twists' characters add one power each for (3/p) and (3/π)_4, over the
-    # primes asked for
+    assert sorted(powered) == sorted(tallied)  # each pair once, and no other
+    # a (d, t) group whose pairs are all powered already takes no call, and the
+    # twists' characters add one power each for (3/p) and (3/π)_4
     assert len(full) <= 12
     assert sum(len(ps) for _, ps, _ in full) <= 27_694
+
+
+CENSUS = tuple(ScanItem(-4, Fraction(t), (8, 4)) for t in range(-40, 3) if t and t % 16)  # fourth-power-free
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        CENSUS,
+        (
+            ScanItem(-3, Fraction(2), (6, 3)),
+            ScanItem(-3, Fraction(2), (2,)),
+            ScanItem(-3, Fraction(-5, 4), (3, 2)),
+            ScanItem(-3, Fraction(7), (2,), parse_set("mod(4;3)")),
+            ScanItem(-3, Fraction(1), (6,)),
+        ),
+    ],
+    ids=["census", "d-3"],
+)
+def test_many_twists_share_the_orders_of_each_prime(items, monkeypatch):
+    # however many twists of d tally a prime, its orders take at most w_d/2 full
+    # powers, one per unit up to sign; the tallies stay those of the per-prime loop
+    bounds = (5, 30_000)
+    full = _count_full_powers(monkeypatch)
+    plan = _plan(items)
+    assert _scan_chunk(plan, bounds) == _reference_chunk(plan, bounds)
+    powered = np.concatenate([ps for inside, ps, _ in full if inside])
+    w = 4 if items[0].d == -4 else 6
+    assert np.unique(powered, return_counts=True)[1].max() == w // 2
+    monkeypatch.undo()
+    seg = Segment(*bounds)
+    units = [seg.units(spec) for spec in dict.fromkeys(plan[1])]
+    assert set(np.concatenate([e for _, _, e in units]).tolist()) == set(range(w))  # every unit index
+    # k = (p-1)/gcd(p-1, lcm of the moduli) odd at a tallied negative a_p: (-1)^k counts
+    ps, c, e = units[0]  # the first twist, whose first item tallies every p ≡ 1 mod its lcm
+    odd_k = (ps - 1) // np.gcd(ps - 1, math.lcm(*(m for it in items for m in it.moduli))) % 2 == 1
+    tallied = (ps - 1) % math.lcm(*items[0].moduli) == 0
+    assert (odd_k & tallied & (np.choose(e, [*c, *-c]) < 0)).any()
 
 
 def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
