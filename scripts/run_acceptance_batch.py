@@ -8,8 +8,9 @@ rescaled gcd(m, w)-class partition over the same set (the d = -3, m = 6 rows
 also with the product rule).  At --pmax 10000000 the CSV is byte for byte
 ``tests/data/acceptance_1e7.csv``.  Every row that fails the |z| <= 4 /
 gap <= 0.004 rule or has N = 0 is printed, and then the exit code is 1, else 0;
-at 1e7 these are the two documented d = -4, t = 3 octic rows.  A range or worker
-count the scan refuses exits 2 with a one-line error.
+at 1e7 these are the two documented d = -4, t = 3 octic rows.  A row that passes
+on its gap alone while |z| > 4 is named on stderr, one line per row.  A range or
+worker count the scan refuses exits 2 with a one-line error.
 
 Usage: python3 scripts/run_acceptance_batch.py [--pmax 10000000] [--workers 1]
                                                [--out results/acceptance_batch.csv]
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
     print(f"worst |z| = {worst:.3f}; {len(bad.rows)} rows fail or have N = 0")
     if bad.rows:
         print(bad.to_csv(), end="")
+    for line in report.gap_only_notes():
+        print(line, file=sys.stderr)
     return 0 if report.all_pass() else 1
 
 

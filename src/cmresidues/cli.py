@@ -10,8 +10,9 @@ A config file (plain ``key = value`` lines, ``#`` comments) can carry any
 flag's value; explicit flags win.  Exit codes: 0 all checks pass, 1
 violations, failed verdicts, or nothing checked (a suite with no checks, a
 scan over an empty eligible set), 2 usage/config errors and flags a command
-cannot honour.  Reports are pure functions of the run configuration: the
-worker count changes wall time, never bytes.
+cannot honour.  A scan row that passes on its gap alone while |z| > 4 is
+named on stderr; its report and exit code stay.  Reports are pure functions
+of the run configuration: the worker count changes wall time, never bytes.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def _cmd_scan(cfg: RunConfig, make_report) -> int:
         table=_load_table(cfg),
     )
     _emit(report.to_json() if cfg.format == "json" else report.to_csv(), cfg)
+    for line in report.gap_only_notes():
+        print(line, file=sys.stderr)
     return 0 if report.all_pass() else 1
 
 

@@ -291,28 +291,30 @@ def _segments(p_min: int, p_max: int) -> list[tuple[int, int]]:
 def _scan_chunk(plan, bounds):
     """Tallies of every item over the primes of one segment, as numpy stages.
 
-    Sieve and norm form run once per d, the trace once per (d, t) group and
-    only at primes ≡ 1 mod the gcd of its items' lcm(moduli), where every
-    eligible set lies; the eligible set of each item is one mask (good,
-    split, ≡ 1 mod every modulus, in ``extra``).  Each twist takes the orders
+    Sieve and norm form run once per d, the walk only through the classes
+    that can give p ≡ 1 mod the gcd of the d's items' lcm(moduli), the trace
+    once per (d, t) group and only at primes ≡ 1 mod the gcd of its items'
+    lcm(moduli), where every eligible set lies; the eligible set of each item
+    is one mask (good, split, ≡ 1 mod every modulus, in ``extra``).  Each twist takes the orders
     of all the moduli of its d at the primes that some of its items tally
     (``Segment.orders``, which the twists of d share), and each item's tally
     is one ``np.bincount`` over the divisors of m.  plan is (items, the curve of each).
     """
     items, specs = plan
-    seg = Segment(*bounds)
     groups: dict[int, dict[CurveSpec, list[int]]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.d, {}).setdefault(spec, []).append(idx)
+    lcms = [math.lcm(*it.moduli) for it in items]
+    walks = {d: math.gcd(*(lcms[i] for idxs in twists.values() for i in idxs)) for d, twists in groups.items()}
+    seg = Segment(*bounds, walks)
     divisors = {m: np.array(_divisors(m)) for it in items for m in it.moduli}  # an order divides m: no array of length m
     totals = [0] * len(items)
     tallies: list[dict[int, dict[int, int]]] = [{} for _ in items]
     for d, twists in groups.items():
         moduli = sorted({m for idxs in twists.values() for i in idxs for m in items[i].moduli})
         for spec, idxs in twists.items():
-            lcms = [math.lcm(*items[i].moduli) for i in idxs]
-            ps, c, e = seg.units(spec, math.gcd(*lcms))
-            keeps = [(ps - 1) % L == 0 for L in lcms]
+            ps, c, e = seg.units(spec, math.gcd(*(lcms[i] for i in idxs)))
+            keeps = [(ps - 1) % lcms[i] == 0 for i in idxs]
             for keep, i in zip(keeps, idxs):
                 if items[i].extra is not None:
                     keep &= set_mask(items[i].extra, ps, seg)
@@ -473,6 +475,16 @@ class Report:
     def all_pass(self) -> bool:
         """No failing verdict, and no row over an empty eligible set (N = 0)."""
         return all(r.verdict != "fail" and r.N > 0 for r in self.rows)
+
+    def gap_only_notes(self) -> list[str]:
+        """One line per row that passes on the gap clause alone while |z| > Z_MAX: at
+        height the gap clause passes a row whatever its z, so callers print these to stderr."""
+        return [
+            f"note: d={r.d} t={r.t} m={r.m} n={r.n}{f' set={r.set}' if r.set else ''} passes on "
+            f"gap {abs(r.empirical - float(r.predicted)):.6f} <= {GAP_MAX} alone; |z| = {abs(r.z):.4f} > {Z_MAX}"
+            for r in self.rows
+            if r.verdict == "pass" and r.z is not None and abs(r.z) > Z_MAX
+        ]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -769,7 +781,7 @@ def _suite_quadratic(seg, rec, specs):
             if d == -4:
                 expected = np.where(ps % 8 == 1, 1, minus_t)
             else:
-                expected = np.where(ps % 4 == 1, np.where(quartic_d[np.searchsorted(split, ps)], 1, -1), minus_t)
+                expected = np.where(ps % 4 == 1, np.where(quartic_d[seg.index(d, ps)], 1, -1), minus_t)
             rec.check(c, ps, expected, np.where(seg.orders(d, units, (2,))[2] == 1, 1, -1))
 
 

@@ -13,7 +13,10 @@ work at all:
   x² + 3y², x² + 2y² or 4p = u² + |d|v² over the segment, in blocks of
   ``_BLOCK`` points and only through the admissible parity, keeps the
   prime values and sorts them by p once; the primary divisors in Z[i]
-  and Z[ω] follow from them;
+  and Z[ω] follow from them.  A scan gives each d the gcd q of its items'
+  lcm(moduli), and the walk visits only the rows y whose class mod a power
+  of 2 can give p ≡ 1 (mod gcd(q, 8)) (``_walk_classes``): b ≡ 0 (mod 4)
+  for the octic item.  A lookup of a prime the walk skipped raises;
 * trace: ``Segment.units`` evaluates a_p by the closed forms of
   ``curves.ap`` at the primes ≡ 1 mod a given modulus only, with Legendre
   tables mod |d| and mod 8 for the base traces.  The twist's characters
@@ -21,9 +24,12 @@ work at all:
   (``Segment.character``): each is the sum of the characters of the bases
   of t's numerator and denominator — the sign, the primes below 10⁶ and
   the cofactor left by trial division (``_bases``, once per t).  -1 and 2
-  take the supplementary laws; every other base one Euler power per
-  segment and k, the quartic and cubic ones by comparing v·b with ∓a mod
-  p (so no modular inverse: ``symbol_exponents``);
+  take the supplementary laws, and every odd prime below ``TABLE_BOUND``
+  its reciprocity table (``_reciprocity_table``: (ℓ/π)_4 from π mod ℓ and
+  (p-1)/4 mod 2, (ℓ/π)_3 from π mod ℓ, or mod 9 for ℓ = 3, and (ℓ/p) from
+  p mod 4ℓ), built once per (ℓ, k) on first use.  Every other base takes
+  one Euler power per segment and k, the quartic and cubic ones by
+  comparing v·b with ∓a mod p (so no modular inverse: ``symbol_exponents``);
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
 * order: a twist multiplies Frobenius by a unit of O_K, so at a split
   prime every twist of d has a_p = ±c for one of w/2 traces c that p
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from .primes import _factorint, _trial_divide, jacobi, prime_array
 
 P_LIMIT = 1 << 32
 _BLOCK = 4096  # lattice points per enumeration block
+TABLE_BOUND = 1 << 8  # odd prime bases below it take their characters from ``_reciprocity_table``
 
 
 def mod_array(n: int, ps: np.ndarray) -> np.ndarray:
@@ -202,6 +209,55 @@ def _bases(n: int) -> tuple[tuple[int, int], ...]:
     return ((-1, 1),) * (n < 0) + tuple(primes.items()) + ((rest, 1),) * (rest > 1)
 
 
+def _ring_mul(u, v, ell: int, c: int):
+    """u·v in Z[ζ]/ℓ, elements as pairs (x, y) = x + yζ, ζ² = -1 - cζ: ζ = i (c = 0) or ω (c = 1)."""
+    (x1, y1), (x2, y2) = u, v
+    return (x1 * x2 - y1 * y2) % ell, (x1 * y2 + x2 * y1 - c * y1 * y2) % ell
+
+
+def _ring_power(u, n: int, ell: int, c: int):
+    """u**n in Z[ζ]/ℓ (``_ring_mul``), n >= 1."""
+    r = u
+    for bit in bin(n)[3:]:
+        r = _ring_mul(r, r, ell, c)
+        if bit == "1":
+            r = _ring_mul(r, u, ell, c)
+    return r
+
+
+@lru_cache(maxsize=None)
+def _reciprocity_table(ell: int, k: int) -> np.ndarray:
+    """The exponents of (ℓ/p) or (ℓ/π)_k for an odd prime ℓ < ``TABLE_BOUND``, read off
+    quartic, cubic or quadratic reciprocity over every residue (Ireland & Rosen, ch. 9):
+
+    * k = 2, at p mod 4ℓ: (ℓ/p) = (p/ℓ)·(-1)^((ℓ-1)/2·(p-1)/2), (p/ℓ) by Euler in F_ℓ;
+    * k = 4, at ((p-1)/4 mod 2, a mod ℓ, b mod ℓ) for the primary π = a + bi;
+    * k = 3, at (a mod ℓ, b mod ℓ) for π = ±(a + bω) ≡ ±1 (mod 3), at (a mod 9, b mod 9) for ℓ = 3.
+
+    An inert ℓ gives (ℓ/π)_k = (-1/π)_k·(π/ℓ)_k, (π/ℓ)_k ≡ π^((ℓ²-1)/k) in F_ℓ²; a split
+    ℓ = λλ̄ gives (π/λ)_k(π/λ̄)_k = u·σ(u)^(k-1) in Z[ζ]/ℓ with u = π^((ℓ-1)/k) and σ the
+    conjugation.  Entries that no prime p ≠ ℓ reaches hold 0."""
+    if k == 2:
+        r = np.arange(4 * ell)
+        euler = _ring_power((r % ell, 0 * r), (ell - 1) // 2, ell, 0)[0]
+        return ((euler == ell - 1) ^ ((ell % 4 == 3) & (r % 4 == 3))).astype(np.int64)
+    n = 9 if (ell, k) == (3, 3) else ell
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    if n == 9:  # 3 = -ω²(1 - ω)², so (3/π)_3 = ω^(2b/3) for π = a + bω ≡ 2 (mod 3) (the supplements)
+        return 2 * (np.where(a % 3 == 2, b, -b) % 9 // 3) % 3
+    c = k % 2
+    if (ell - 1) % k:
+        v = _ring_power((a, b), (ell * ell - 1) // k, ell, c)
+    else:
+        u = _ring_power((a, b), (ell - 1) // k, ell, c)
+        v = _ring_mul(u, _ring_power(((u[0] - c * u[1]) % ell, -u[1] % ell), k - 1, ell, c), ell, c)
+    roots = [(1, 0)]
+    for _ in range(k - 1):
+        roots.append(_ring_mul(roots[-1], (0, 1), ell, c))
+    e = np.select([(v[0] == x) & (v[1] == y) for x, y in roots], range(k), default=0)
+    return e if k == 3 else np.stack([e, (e + 2 * (ell % 4 == 3)) % 4])  # (-1/π)_4 = (-1)^((p-1)/4)
+
+
 # d -> (D, scale, first y, y step, alpha, beta): the prime values
 # p = (x² + D·y²)/scale with x, y > 0 and x ≡ alpha·y + beta (mod 2).
 _FORMS = {
@@ -214,6 +270,17 @@ _FORMS = {
 
 def _form(d: int) -> tuple[int, ...]:
     return _FORMS.get(d, (-d, 4, 1, 1, 1, 0))  # 4p = u² + |d|v², u ≡ v (mod 2)
+
+
+@lru_cache(maxsize=None)
+def _walk_classes(d: int, r: int) -> np.ndarray:
+    """Mask on y mod 8·scale: the y for which some admissible x gives (x² + D·y²)/scale ≡ 1
+    (mod r), r | 8, found over every residue; x and y mod 8·scale fix x² + D·y² mod 16·scale."""
+    D, scale, _, _, alpha, beta = _form(d)
+    x, y = np.meshgrid(np.arange(8 * scale), np.arange(8 * scale), indexing="ij")
+    n = x * x + D * y * y
+    hit = ((x - alpha * y - beta) % 2 == 0) & (n % scale == 0) & ((n // scale - 1) % r == 0)
+    return hit.any(axis=0)
 
 
 def isqrt_array(n: np.ndarray) -> np.ndarray:
@@ -241,10 +308,15 @@ def _eisenstein_primary(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class Segment:
-    """The primes of [lo, hi) and, on demand, the norm-form solutions of each d."""
+    """The primes of [lo, hi) and, on demand, the norm-form solutions of each d.
 
-    def __init__(self, lo: int, hi: int):
+    walks maps d to a modulus q: the walk of d visits only the lattice classes that can
+    give p ≡ 1 (mod gcd(q, 8)), and every lookup of a prime it skipped raises ValueError;
+    a d it does not name is walked in full."""
+
+    def __init__(self, lo: int, hi: int, walks: dict[int, int] | None = None):
         self.lo, self.hi = lo, hi
+        self._walks = {d: gcd(q, 8) for d, q in (walks or {}).items()}
         self.primes = prime_array(lo, hi)
         self._place = np.full(max(0, hi - lo), -1, dtype=np.int32)  # n's index in primes, -1 off them
         self._place[self.primes - lo] = np.arange(len(self.primes), dtype=np.int32)
@@ -252,13 +324,16 @@ class Segment:
         self._memos: dict[tuple, np.ndarray] = {}  # per key, a value >= 0 at each prime asked for
 
     def form(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, x, y), increasing in p: every prime p of the segment split in d, with
-        its unique solution x, y > 0 of the norm form of d (see ``_FORMS``)."""
+        """(p, x, y), increasing in p: every prime p of the segment split in d that the walk
+        of d visits (all of them, or for a q in ``walks`` every p ≡ 1 mod gcd(q, 8) and
+        perhaps others), with its unique solution x, y > 0 of the norm form of d (``_FORMS``)."""
         if d in self._forms:
             return self._forms[d]
         D, scale, y0, ystep, alpha, beta = _form(d)
         lo, hi = scale * self.lo, scale * self.hi  # the form's values lie in [lo, hi)
         ys = np.arange(y0, isqrt(max(0, hi - 2) // D) + 1, ystep, dtype=np.int64)
+        classes = _walk_classes(d, self._walks.get(d, 1))
+        ys = ys[classes[ys % len(classes)]]
         dy = D * ys * ys
         x0 = isqrt_array(np.maximum(lo - dy, 1) - 1) + 1  # least x > 0 with x² + Dy² >= lo
         x1 = isqrt_array(hi - 1 - dy)  # greatest x with x² + Dy² < hi
@@ -318,8 +393,8 @@ class Segment:
         primes split in -4 or -3, the quartic or cubic symbol over the primary π = a + bi
         or a + bω (pi, the arrays a and b at ps), ζ = i or ω.  Read off the characters of
         the bases of the numerator and denominator (``_bases``): -1 and 2 in closed form,
-        every other base by one Euler power per segment, k and base, whatever the twist
-        it comes from."""
+        odd primes below ``TABLE_BOUND`` from their reciprocity tables, every other base
+        by one Euler power per segment, k and base, whatever the twist it comes from."""
         x = Fraction(x)
         e = np.zeros(len(ps), dtype=np.int64)
         for n, sign in ((x.numerator, 1), (x.denominator, -1)):
@@ -336,6 +411,12 @@ class Segment:
         if base == 2:  # (2/π)_4 = i^(-b/2) (``closed_form_two``); (2/π)_3 ≡ π (mod 2)
             a, b = pi  # the units 1, ω, ω² ≡ 1 + ω mod 2
             return -b // 2 % 4 if k == 4 else b % 2 * (1 + a % 2)
+        if base < TABLE_BOUND:  # an odd prime ℓ: its reciprocity table
+            table = _reciprocity_table(base, k)
+            if k == 2:
+                return table[ps % (4 * base)]
+            a, b = (v % table.shape[-1] for v in pi)
+            return table[a, b] if k == 3 else table[(ps - 1) // 4 % 2, a, b]
 
         def euler(new):
             q = ps[new]
@@ -351,6 +432,8 @@ class Segment:
         p: the w/2 traces c (rows) that p fixes for all twists of d, and E_t's unit index e,
         a_p = c[e] or -c[e - w/2] (cf. ``curves.ap``); other primes cost no modular power."""
         d, t = spec.d, spec.t
+        if modulus % self._walks.get(d, 1):
+            raise ValueError(f"the walk of d = {d} skips primes ≡ 1 (mod {modulus})")
         ps, x, y = self.form(d)
         keep = (ps - 1) % modulus == 0
         keep[keep] = mod_array(spec.bad_product(), ps[keep]) != 0
@@ -397,14 +480,24 @@ class Segment:
         out[np.searchsorted(ps, split)] = a
         return ps, out
 
+    def index(self, d: int, ps: np.ndarray) -> np.ndarray:
+        """The place of each p in ps in ``form(d)``; ValueError for a prime the walk of d skipped."""
+        pd = self.form(d)[0]
+        idx = np.searchsorted(pd, ps)
+        hit = idx < len(pd)
+        hit[hit] = pd[idx[hit]] == ps[hit]
+        if not hit.all():
+            raise ValueError(f"the walk of d = {d} did not visit p = {ps[~hit][0]}")
+        return idx
+
     def primary(
         self, d: int, ps: np.ndarray, convention: str = PRIMARY_CONVENTION
     ) -> tuple[np.ndarray, np.ndarray]:
         """The primary divisor of each p in ps (primes of the segment split in d): a + bi,
         b > 0, for d = -4 (``split_prime``); a + bω ≡ 2 or 1 (mod 3) by ``convention``
         for d = -3 (``split_prime_eis``)."""
-        pd, x, y = self.form(d)
-        idx = np.searchsorted(pd, ps)
+        _, x, y = self.form(d)
+        idx = self.index(d, ps)
         if d == -4:
             return _gaussian_primary(x[idx], y[idx])
         a, b = _eisenstein_primary(x[idx], y[idx])

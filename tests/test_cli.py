@@ -130,6 +130,20 @@ def test_conjecture_rows(capsys):
     assert all(row[8] == "scaling" for row in rows)
 
 
+def test_gap_only_passes_are_named_on_stderr(capsys):
+    # at 2·10⁷ both octic rows of d = -4, t = 3 pass on the gap clause while |z| > 4:
+    # the report and the exit code say pass, and stderr names both rows
+    code, out, err = run(capsys, "conjecture", "--d", "-4", "--t", "3", "--m", "8", "--pmax", "20000000")
+    assert code == 0
+    rows = {int(row[3]): row for row in (line.split(",") for line in out.splitlines()[1:])}
+    assert [rows[n][10] for n in (1, 2)] == ["pass", "pass"]
+    assert all(abs(float(rows[n][9])) > density.Z_MAX for n in (1, 2))
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert [line.startswith(f"note: d=-4 t=3 m=8 n={n} passes on gap ") for n, line in zip((1, 2), lines)] == [True, True]
+    assert all(f"|z| = {abs(float(rows[n][9])):.4f} > 4.0" in line for n, line in zip((1, 2), lines))
+
+
 def test_conjecture_product_rule_rows(capsys):
     code, out, _ = run(
         capsys, "conjecture", "--d", "-3", "--t", "2", "--m", "6", "--pmax", "20000"

@@ -8,8 +8,12 @@ width limit, p < 2³², at its edge.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,11 @@ def test_form_solves_the_norm_equation(lo):
         for p, u, v in zip(ps, x, y):
             assert u > 0 and v > 0 and u * u + D * v * v == scale * p, (d, p)
             assert (u - alpha * v - beta) % 2 == 0 and (d != -4 or v % 2 == 0), (d, p)
+        # a restricted walk: a subset of the full one that holds every p ≡ 1 (mod gcd(q, 8))
+        for q in (2, 4, 8, 24):
+            walked = Segment(lo, lo + 250_000, {d: q}).form(d)[0].tolist()
+            assert set(walked) <= set(ps), (d, q)
+            assert set(walked) >= {p for p in ps if (p - 1) % math.gcd(q, 8) == 0}, (d, q)
 
 
 def test_good_traces_are_zero_at_inert_primes():
@@ -329,8 +338,10 @@ def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
 
 
 def test_one_euler_power_per_base_and_segment(monkeypatch):
-    # 3, 6, 12, -3/4 and 1/3 share the base 3, so each k powers it once at each
-    # prime asked for; asking again, or at a subset, takes no power
+    # 257 is the least prime past the tables' bound; 257, 514, 1028, -257/4 and
+    # 1/257 share it as a base, so each k powers it once at each prime asked
+    # for; asking again, or at a subset, takes no power
+    assert engine.TABLE_BOUND < 257 and prime_array(engine.TABLE_BOUND, 258).tolist() == [257]
     seg = Segment(3, 60_000)
     full = []
 
@@ -341,13 +352,66 @@ def test_one_euler_power_per_base_and_segment(monkeypatch):
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     for k, d in ((2, -7), (4, -4), (3, -3)):
-        ps = seg.form(d)[0][1:]
+        ps = seg.form(d)[0]
+        ps = ps[ps != 257]
         pi = None if k == 2 else seg.primary(d, ps)
-        for t in (Fraction(3), Fraction(6), Fraction(12), Fraction(-3, 4), Fraction(1, 3)):
+        for t in (Fraction(257), Fraction(514), Fraction(1028), Fraction(-257, 4), Fraction(1, 257)):
             seg.character(t, ps, k, pi)
             seg.character(t, ps[::2], k, None if k == 2 else (pi[0][::2], pi[1][::2]))
         assert full == [len(ps)], k
         full.clear()
+
+
+@pytest.mark.parametrize("k, d", [(2, None), (4, -4), (3, -3)])
+def test_reciprocity_tables_match_euler(k, d):
+    # every entry that a prime below 2·10⁵ reaches, for every odd prime base below
+    # the bound, against Euler's criterion or ``symbol_exponents``; (ℓ/π)_3 under
+    # both conventions, whose divisors differ by a sign
+    seg = Segment(3, 200_000)
+    ps = seg.primes if d is None else seg.form(d)[0]
+    for convention in ("two-mod-three", "one-mod-three") if k == 3 else (None,):
+        pi = None if d is None else seg.primary(d, ps, convention or "two-mod-three")
+        for ell in prime_array(3, engine.TABLE_BOUND).tolist():
+            keep = ps % ell != 0
+            q, x = ps[keep], np.full(keep.sum(), ell)
+            if k == 2:
+                want = pow_array(x, (q - 1) // 2, q) != 1
+                got = seg.character(ell, q, k)
+            else:
+                want = symbol_exponents(x, pi[0][keep], pi[1][keep], q, k)
+                got = seg.character(ell, q, k, (pi[0][keep], pi[1][keep]))
+            assert got.tolist() == want.tolist(), (ell, k, convention)
+            assert len(set(got.tolist())) == k, (ell, k, convention)
+
+
+def test_bases_below_the_bound_take_no_power(monkeypatch):
+    # t's odd primes below the bound read tables: no modular power at all, full or scalar
+    powers = []
+
+    def counting_pow(base, exp, ps):
+        powers.append(len(ps))
+        return pow_array(base, exp, ps)
+
+    monkeypatch.setattr(engine, "pow_array", counting_pow)
+    t = Fraction(-3 * 5 * 7 * 251, 11 * 13 * 17 * 4)
+    for bounds in ((3, 30_000), (10**6, 10**6 + 30_000)):
+        seg = Segment(*bounds)
+        for k, d in ((2, -7), (4, -4), (3, -3)):
+            ps = seg.form(d)[0]
+            ps = ps[np.gcd(ps, t.numerator * t.denominator) == 1]
+            seg.character(t, ps, k, None if k == 2 else seg.primary(d, ps))
+    assert powers == []
+
+
+def test_importing_the_package_builds_no_table():
+    # the tables and the walk classes are built on first use, so start-up does not pay for them
+    code = (
+        "import cmresidues; cmresidues.load_curve_table(); from cmresidues import engine; "
+        "print(engine._reciprocity_table.cache_info().currsize, engine._walk_classes.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def _set_exprs():
@@ -400,24 +464,57 @@ def test_scan_chunk_matches_reference_with_a_table():
     assert _scan_chunk(plan, (2, 30_000)) == _reference_chunk(plan, (2, 30_000))
 
 
-def test_octic_scan_takes_two_full_powers(monkeypatch):
-    # one power for the trace symbol, one for the orders of both moduli, and
-    # only at p ≡ 1 (mod 8), the one class the item tallies; the order of
-    # w = a^((p-1)/8) then takes three squarings, not powers to 1, 2, 4 and 8
-    full, scalar = [], []
+def test_a_restricted_walk_serves_another_d_s_g8_mask():
+    # the d = -4 walk visits only p ≡ 1 (mod 8); g8(...) on the d = -7 item reads
+    # primary divisors there, and only there
+    items = (ScanItem(-4, Fraction(3), (8,)), ScanItem(-7, Fraction(1), (2,), parse_set("g8(5+4i) | g8(1)")))
+    plan = _plan(items)
+    assert _scan_chunk(plan, (5, 60_000)) == _reference_chunk(plan, (5, 60_000))
+    assert all(total > 0 for total in _scan_chunk(plan, (5, 60_000))[0])
+
+
+def test_a_restricted_walk_refuses_the_primes_it_skipped():
+    seg = Segment(5, 30_000, {-4: 8})
+    with pytest.raises(ValueError, match="did not visit p = 13"):
+        seg.primary(-4, np.array([13]))  # 13 ≡ 5 (mod 8)
+    with pytest.raises(ValueError, match="skips primes"):
+        seg.good_traces(CurveSpec(-4, 3))
+    with pytest.raises(ValueError, match="skips primes"):
+        seg.units(CurveSpec(-4, 3), 4)
+    a, b = seg.primary(-4, np.array([17, 41]))
+    assert list(zip(a.tolist(), b.tolist())) == [tuple(vars(split_prime(p)).values()) for p in (17, 41)]
+
+
+def test_octic_scan_takes_one_full_power(monkeypatch):
+    # (3/π)_4 comes from its table, so the one power left is the orders' for
+    # both moduli, and only at p ≡ 1 (mod 8), the one class the item tallies;
+    # the order of w = a^((p-1)/8) then takes three squarings, not powers to
+    # 1, 2, 4 and 8; the walk of d = -4 visits exactly the split p ≡ 1 (mod 8)
+    full, scalar, forms = [], [], []
+    form = Segment.form
 
     def counting_pow(base, exp, ps):
         (full if isinstance(exp, np.ndarray) else scalar).append((ps.copy(), exp))
         return pow_array(base, exp, ps)
 
+    def recording_form(seg, d):
+        out = form(seg, d)
+        forms.append((d, seg.lo, seg.hi, out[0]))
+        return out
+
     monkeypatch.setattr(engine, "pow_array", counting_pow)
+    monkeypatch.setattr(Segment, "form", recording_form)
     plan = _plan((ScanItem(-4, Fraction(3), (8, 4)),))
     totals, _ = _scan_chunk(plan, (10**6, 10**6 + 250_000))
     assert totals[0] > 0
-    assert len(full) == 2
+    assert len(full) == 1
     assert [exp for _, exp in scalar] == [2, 2, 2]
     for ps, _ in full + scalar:
         assert len(ps) > 0 and (ps % 8 == 1).all()
+    monkeypatch.undo()
+    d, lo, hi, walked = forms[0]
+    split = Segment(lo, hi).form(-4)[0]
+    assert d == -4 and walked.tolist() == split[split % 8 == 1].tolist()
 
 
 def _count_full_powers(monkeypatch):
@@ -460,9 +557,9 @@ def test_sweep_scan_powers_each_distinct_trace_once(monkeypatch):
         tallied |= set(zip(ps[keep].tolist(), (np.abs(a[keep]) % ps[keep]).tolist()))
     assert sorted(powered) == sorted(tallied)  # each pair once, and no other
     # a (d, t) group whose pairs are all powered already takes no call, and the
-    # twists' characters add one power each for (3/p) and (3/π)_4
-    assert len(full) <= 12
-    assert sum(len(ps) for _, ps, _ in full) <= 27_694
+    # twists' characters read tables: every full power is the orders'
+    assert all(inside for inside, _, _ in full)
+    assert len(full) == 8 and sum(len(ps) for _, ps, _ in full) == 19_380
 
 
 CENSUS = tuple(ScanItem(-4, Fraction(t), (8, 4)) for t in range(-40, 3) if t and t % 16)  # fourth-power-free
@@ -504,8 +601,8 @@ def test_many_twists_share_the_orders_of_each_prime(items, monkeypatch):
 
 
 def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
-    # per twist: the trace's quartic symbol, symord(2;t;n) and symord(4;t/2;n)
-    # for every n the nine cells name, and the quartic symbol of a_p
+    # per twist: symord(2;t;n) and symord(4;t/2;n) for every n the nine cells
+    # name, and the quartic symbol of a_p; (3/π)_4 in the trace comes from its table
     full = []
 
     def counting_pow(base, exp, ps):
@@ -517,7 +614,7 @@ def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
     check = density.SUITES["nine-cells"][0]
     checked, found = density._check_segment("nine-cells", check, [CurveSpec(-4, 3)], 10, (5, 20_000))
     assert checked > 0 and found == []
-    assert len(full) == 4
+    assert len(full) == 3
 
 
 def test_suites_catch_a_wrong_character_in_the_table(monkeypatch):
@@ -536,6 +633,28 @@ def test_suites_catch_a_wrong_character_in_the_table(monkeypatch):
     cubic = density.verify_suite("cubic", ts=(2, 3), p_max=20_000)
     assert quadratic.checked == clean[0].checked and len(quadratic.violations) > 100
     assert cubic.checked == clean[1].checked and len(cubic.violations) > 100
+
+
+def test_suites_catch_one_wrong_entry_of_a_reciprocity_table(monkeypatch):
+    # trace-symbol and nine-cells take their claimed side from the scalar symbols,
+    # so one wrong entry of the (3/π)_4 table (p ≡ 1 mod 8, π ≡ 1 + 0i mod 3)
+    # shows as violations, over the same checks
+    table = engine._reciprocity_table
+
+    def corrupt(ell, k):
+        out = table(ell, k)
+        if (ell, k) == (3, 4):
+            out = out.copy()
+            out[0, 1, 0] = (out[0, 1, 0] + 1) % 4
+        return out
+
+    names = ("trace-symbol", "nine-cells")
+    clean = [density.verify_suite(name, ts=(3, 6), p_max=20_000) for name in names]
+    assert all(res.ok() for res in clean)
+    monkeypatch.setattr(engine, "_reciprocity_table", corrupt)
+    for name, res in zip(names, clean):
+        wrong = density.verify_suite(name, ts=(3, 6), p_max=20_000)
+        assert wrong.checked == res.checked and len(wrong.violations) > 20, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The scripts under ``scripts/``, run in-process through their ``main``."""
 
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,22 @@ def test_acceptance_batch_fails_an_empty_scan(tmp_path, capsys):
     assert run_acceptance_batch.main(["--pmax", "6", "--out", str(tmp_path / "b.csv")]) == 1
     out = capsys.readouterr().out
     assert "-7,1,2,1,,0,,1/4,quadratic-table,,n/a" in out.splitlines()
+
+
+def test_acceptance_batch_names_gap_only_passes_on_stderr(tmp_path, capsys, monkeypatch):
+    # a passing row whose |z| is past 4 (its z doctored here; at 2·10⁷ the octic
+    # rows are such rows) is named on stderr, and the exit code stays 0
+    rows = run_acceptance_batch.batch_rows
+
+    def with_a_large_z(results):
+        out = rows(results)
+        return [replace(out[0], z=4.5)] + out[1:]
+
+    monkeypatch.setattr(run_acceptance_batch, "batch_rows", with_a_large_z)
+    assert run_acceptance_batch.main(["--pmax", "60000", "--out", str(tmp_path / "b.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "note:" not in captured.out
+    assert re.fullmatch(r"note: d=-7 t=1 m=2 n=1 passes on gap 0\.00\d+ <= 0\.004 alone; \|z\| = 4\.5000 > 4\.0\n", captured.err)
 
 
 def test_octic_study_without_eligible_primes(capsys):
