@@ -51,7 +51,7 @@ from .engine import (
     symbol_exponents,
 )
 from .eisenstein import PRIMARY_CONVENTION
-from .gaussian import GaussInt, closed_form_odd_factor, closed_form_trace_symbol, closed_form_two
+from .gaussian import odd_factor_exp, trace_symbol_exp, two_exp
 from .prime_sets import And, CongMod, Not, Or, QuarticCell, SetExpr, SymOrder, quartic_cell, quartic_cell_expr
 from .primes import (
     Rational,
@@ -704,7 +704,9 @@ ORACLE_BOUND = 20_000  # trace-oracle's default: the split p it point-counts
 
 # A suite is a per-segment check fn(seg, rec, specs): case c is the curve specs[c].
 # The computed side of each identity is read from the segment's arrays; the
-# claimed side calls the identity's own scalar implementation.
+# claimed side calls the identity's own scalar implementation, on ints and with
+# its own Python pow: ``odd_factor_exp``, ``two_exp`` and ``trace_symbol_exp``
+# (which the public ``closed_form_*`` wrap), ``quartic_cell`` and ``_sextic_rhs``.
 
 
 def _by_prime(cases, values) -> list[list]:
@@ -834,7 +836,7 @@ def _suite_odd_factor(seg, rec, specs):
     # every (ℓ, p) pair in one Euler power, cut back into one run per ℓ
     euler = symbol_exponents(np.repeat(ells, sizes), a[k], b[k], ps[k], 4)
     for ell, i, e in zip(ells.tolist(), at, np.split(euler, np.cumsum(sizes)[:-1])):
-        closed = [closed_form_odd_factor(ell, GaussInt(*pi)).exp for pi in zip(a[i].tolist(), b[i].tolist())]
+        closed = [odd_factor_exp(ell, x, y) for x, y in zip(a[i].tolist(), b[i].tolist())]
         rec.check(0, ps[i], e, closed, sub=ell)
 
 
@@ -842,7 +844,7 @@ def _suite_two_factor(seg, rec, specs):
     """Closed form for (2/π)_4 = (-i)^(b/2) vs Euler, all primary π."""
     ps = seg.form(-4)[0]
     a, b = seg.primary(-4, ps)
-    closed = [closed_form_two(GaussInt(*ab)).exp for ab in zip(a.tolist(), b.tolist())]
+    closed = list(map(two_exp, a.tolist(), b.tolist()))
     rec.check(0, ps, symbol_exponents(np.full(len(ps), 2), a, b, ps, 4), closed)
 
 
@@ -851,11 +853,16 @@ def _suite_trace_symbol(seg, rec, specs):
     for k, spec in enumerate(specs):  # the checks run p by p, then t by t
         ps, a = seg.traces(spec)
         pa, pb = seg.primary(-4, ps)
-        closed = [closed_form_trace_symbol(GaussInt(*ab), spec.t).exp for ab in zip(pa.tolist(), pb.tolist())]
+        closed = [trace_symbol_exp(x, y, spec.t, p) for x, y, p in zip(pa.tolist(), pb.tolist(), ps.tolist())]
         rec.check(0, ps, closed, symbol_exponents(a % ps, pa, pb, ps, 4), sub=k)
 
 
 _CELLS = tuple(QuarticCell)
+# cell -> (its bit in a membership set, the order of (a_p/π)_4 on it, the exponent it pins or -1)
+_CELL_FACTS = {
+    cell: (1 << k, cell.trace_symbol_order, -1 if cell.trace_symbol_exp is None else cell.trace_symbol_exp)
+    for k, cell in enumerate(_CELLS)
+}
 
 
 def _cell_list(bits) -> str:
@@ -873,14 +880,15 @@ def _suite_nine_cells(seg, rec, specs):
     """
     traces = [seg.traces(spec) for spec in specs]
     # prime-major, so that ``split_prime`` splits each p once for all the twists
-    claimed = _by_prime([(s.t, ps) for s, (ps, _) in zip(specs, traces)], lambda tp, p: [quartic_cell(p, t) for t in tp])
-    for c, (spec, (ps, a), cells) in enumerate(zip(specs, traces, claimed)):
+    cases = [(s.t, ps) for s, (ps, _) in zip(specs, traces)]
+    claimed = _by_prime(cases, lambda tp, p: [_CELL_FACTS[quartic_cell(p, t)] for t in tp])
+    for c, (spec, (ps, a), facts) in enumerate(zip(specs, traces, claimed)):
+        bits, orders, exps = np.array(facts, dtype=np.int64).reshape(-1, 3).T
         masks = [set_mask(quartic_cell_expr(cell, spec.t), ps, seg) for cell in _CELLS]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
-        rec.check(c, ps, [1 << _CELLS.index(cell) for cell in cells], member, show=_cell_list)
+        rec.check(c, ps, bits, member, show=_cell_list)
         e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
-        rec.check(c, ps, [cell.trace_symbol_order for cell in cells], np.choose(e, [1, 4, 2, 4]), sub=1)
-        exps = np.array([-1 if cell.trace_symbol_exp is None else cell.trace_symbol_exp for cell in cells])
+        rec.check(c, ps, orders, np.choose(e, [1, 4, 2, 4]), sub=1)
         pinned = exps >= 0
         rec.check(c, ps[pinned], exps[pinned], e[pinned], sub=2)
 

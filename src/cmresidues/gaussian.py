@@ -25,6 +25,12 @@ any modular exponentiation:
 * ``closed_form_trace_symbol``: the quartic symbol of the Frobenius trace of
   the quartic-twist family y² = x³ - tx at p, as an explicit function of
   (a, b, (t/π)_4) alone.
+
+Each of these, and ``quartic_exponent``, has one implementation on plain
+ints, taking π as (a, b) and returning the exponent e of i^e:
+``odd_factor_exp``, ``two_exp``, ``trace_symbol_exp`` and ``quartic_exp``.
+The public functions wrap it, and the per-prime suites call it directly,
+so a check pays for its modular arithmetic and not for the value types.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import Rational, cornacchia, jacobi, reduce_mod
+from .primes import Rational, cornacchia, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class GaussInt:
 
     @property
     def is_primary(self) -> bool:
-        return self.re % 2 == 1 and self.im % 2 == 0 and (self.re + self.im) % 4 == 1
+        return _is_primary(self.re, self.im)
 
     def associates(self) -> tuple["GaussInt", ...]:
         zi = self.times_i()
@@ -84,6 +90,10 @@ class GaussInt:
         if not re_part:
             return im_part if self.im > 0 else f"-{im_part}"
         return f"{re_part}{sign}{im_part}"
+
+
+def _is_primary(a: int, b: int) -> bool:
+    return a % 2 == 1 and b % 2 == 0 and (a + b) % 4 == 1
 
 
 def primary_associate(z: GaussInt) -> GaussInt:
@@ -140,32 +150,40 @@ class QuarticSymbol:
         return ("1", "i", "-1", "-i")[self.exp]
 
 
-QUARTIC_ONE = QuarticSymbol(0)
-QUARTIC_MINUS_ONE = QuarticSymbol(2)
+def quartic_exp(x: int | Rational, a: int, b: int, p: int) -> int:
+    """Exponent e with (x/π)_4 = i^e for π = a+bi of prime norm p ≡ 1 (mod 4).
+
+    x may be a rational with denominator prime to p.  One modular
+    exponentiation v = x^((p-1)/4): i maps to r with a + b·r ≡ 0 (mod p), so
+    v ≡ ±r reads as v·b ≡ ∓a, with no inverse of b.
+
+    >>> quartic_exp(2, 3, 2, 13), quartic_exp(2, 3, -2, 13)
+    (3, 1)
+    """
+    xm = reduce_mod(x, p)
+    if xm == 0:
+        raise ValueError(f"quartic symbol of 0 (x ≡ 0 mod {p})")
+    if b % p == 0 or (a * a + b * b) % p:  # r² ≡ -1 iff a² + b² ≡ 0, as ``i_image`` checks
+        raise ValueError(f"{GaussInt(a, b)} does not divide {p}")
+    v = pow(xm, (p - 1) // 4, p)
+    if v == 1:
+        return 0
+    if v == p - 1:
+        return 2
+    vb = v * b % p
+    if vb == -a % p:
+        return 1
+    if vb == a % p:
+        return 3
+    raise ValueError(f"{v} is not a power of i mod {p}; norm of {GaussInt(a, b)} not prime?")
 
 
 def quartic_exponent(x: int | Rational, pi: GaussInt, p: int | None = None) -> int:
     """Exponent e with (x/π)_4 = i^e, for π of prime norm p ≡ 1 (mod 4).
 
-    x may be a rational with denominator prime to p.  Hot path: one modular
-    exponentiation plus a four-way match.
+    ``quartic_exp`` on π's parts; p defaults to the norm of π.
     """
-    if p is None:
-        p = pi.norm()
-    xm = reduce_mod(x, p)
-    if xm == 0:
-        raise ValueError(f"quartic symbol of 0 (x ≡ 0 mod {p})")
-    r = i_image(pi, p)
-    v = pow(xm, (p - 1) // 4, p)
-    if v == 1:
-        return 0
-    if v == r:
-        return 1
-    if v == p - 1:
-        return 2
-    if v == p - r:
-        return 3
-    raise ValueError(f"{v} is not a power of i mod {p}; norm of {pi} not prime?")
+    return quartic_exp(x, pi.re, pi.im, pi.norm() if p is None else p)
 
 
 def quartic_symbol(x: int | Rational, pi: GaussInt) -> QuarticSymbol:
@@ -179,42 +197,63 @@ def quartic_symbol(x: int | Rational, pi: GaussInt) -> QuarticSymbol:
     return QuarticSymbol(quartic_exponent(x, pi))
 
 
-def closed_form_odd_factor(ell: int, pi: GaussInt) -> QuarticSymbol:
-    """(ℓ/π)_4 for an odd prime ℓ dividing re(π), without exponentiation.
+def odd_factor_exp(ell: int, a: int, b: int) -> int:
+    """Exponent of (ℓ/π)_4, 0 or 2, for an odd prime ℓ dividing a, π = a+bi of prime norm.
 
-    The value is the sign (-1)^((ℓ-1)/2 · (p-1)/4) · (2|ℓ); in particular it
-    is always ±1.
+    The value is the sign (-1)^((ℓ-1)/2 · (p-1)/4) · (2|ℓ), with
+    (2|ℓ) = (-1)^((ℓ²-1)/8); in particular it is always ±1.
+
+    >>> odd_factor_exp(3, 3, 2), odd_factor_exp(5, 5, 2)  # p = 13, 29
+    (0, 2)
     """
-    if ell % 2 == 0 or pi.re % ell != 0:
-        raise ValueError(f"{ell} is not an odd divisor of re({pi})")
-    p = pi.norm()
-    sign = (-1) ** (((ell - 1) // 2) * ((p - 1) // 4)) * jacobi(2, ell)
-    return QUARTIC_ONE if sign == 1 else QUARTIC_MINUS_ONE
+    if ell < 1 or ell % 2 == 0 or a % ell != 0:
+        raise ValueError(f"{ell} is not an odd divisor of re({GaussInt(a, b)})")
+    p = a * a + b * b
+    return 2 * (((ell - 1) // 2 * ((p - 1) // 4) + (ell * ell - 1) // 8) % 2)
+
+
+def closed_form_odd_factor(ell: int, pi: GaussInt) -> QuarticSymbol:
+    """(ℓ/π)_4 for an odd prime ℓ dividing re(π), without exponentiation: ``odd_factor_exp``."""
+    return QuarticSymbol(odd_factor_exp(ell, pi.re, pi.im))
+
+
+def two_exp(a: int, b: int) -> int:
+    """Exponent of (2/π)_4 = (-i)^(b/2) for primary π = a+bi.
+
+    >>> two_exp(3, 2), two_exp(3, -2)
+    (3, 1)
+    """
+    if not _is_primary(a, b):
+        raise ValueError(f"{GaussInt(a, b)} is not primary")
+    return -(b // 2) % 4
 
 
 def closed_form_two(pi: GaussInt) -> QuarticSymbol:
-    """(2/π)_4 = (-i)^(b/2) for primary π = a+bi."""
-    if not pi.is_primary:
-        raise ValueError(f"{pi} is not primary")
-    return QuarticSymbol(-(pi.im // 2))
+    """(2/π)_4 = (-i)^(b/2) for primary π = a+bi: ``two_exp``."""
+    return QuarticSymbol(two_exp(pi.re, pi.im))
 
 
-def closed_form_trace_symbol(pi: GaussInt, t: int | Rational) -> QuarticSymbol:
-    """Quartic symbol of the trace a_p of y² = x³ - tx at p = norm(π).
+def trace_symbol_exp(a: int, b: int, t: int | Rational, p: int) -> int:
+    """Exponent of the quartic symbol of the trace a_p of y² = x³ - tx at p = a² + b².
 
     For primary π = a+bi and p ∤ 2t the symbol of the (nonzero) trace equals
     i^((a-1)/2) · (-1)^((b²+2b)/8) · (t/π)_4^((p-1)/4) — no point counting and
     no knowledge of a_p itself required.  Conjugation-equivariant, so either
     primary divisor of p gives the conjugate value, consistently.
+
+    >>> trace_symbol_exp(3, 2, 1, 13), trace_symbol_exp(3, -2, 1, 13)
+    (3, 1)
     """
-    if not pi.is_primary:
-        raise ValueError(f"{pi} is not primary")
-    a, b = pi.re, pi.im
-    p = pi.norm()
-    e_t = quartic_exponent(t, pi, p)
+    if not _is_primary(a, b):
+        raise ValueError(f"{GaussInt(a, b)} is not primary")
+    e_t = quartic_exp(t, a, b, p)
     # (b² + 2b)/8 is exact: b even makes b²+2b ≡ 0 (mod 8).
-    e = (a - 1) // 2 + 2 * ((b * b + 2 * b) // 8) + e_t * ((p - 1) // 4)
-    return QuarticSymbol(e)
+    return ((a - 1) // 2 + 2 * ((b * b + 2 * b) // 8) + e_t * ((p - 1) // 4)) % 4
+
+
+def closed_form_trace_symbol(pi: GaussInt, t: int | Rational) -> QuarticSymbol:
+    """Quartic symbol of the trace a_p of y² = x³ - tx at p = norm(π): ``trace_symbol_exp``."""
+    return QuarticSymbol(trace_symbol_exp(pi.re, pi.im, t, pi.norm()))
 
 
 # g8 class token -> (a mod 8, b mod 8) of the primary divisors a+bi of p ≡ 1 (mod 8)

@@ -338,8 +338,10 @@ def quartic_cell(p: int, t: Rational | int) -> QuarticCell:
         raise ValueError(f"{p} is not 1 mod 4")
     if (2 * t.numerator * t.denominator) % p == 0:
         raise ValueError(f"cell undefined: {p} divides 2t")
-    klass = primary_class_mod8(p) if p % 8 == 1 else None
-    return _CELL_OF.get((klass, None)) or _CELL_OF[klass, _class_order(*_asked(klass, t), p)]
+    if p % 8 == 5:  # ``_asked``'s t/2, as t·2⁻¹ with 2⁻¹ ≡ (p+1)/2
+        return _CELL_OF[None, _class_order(4, reduce_mod(t, p) * ((p + 1) // 2), p)]
+    klass = primary_class_mod8(p)
+    return _CELL_OF.get((klass, None)) or _CELL_OF[klass, _class_order(2, t, p)]
 
 
 def quartic_cell_expr(cell: QuarticCell, t: Rational | int) -> SetExpr:

@@ -300,8 +300,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def reduce_mod(x: Rational | int, p: int) -> int:
-    """x mod p for an integer, or a rational whose denominator is prime to p."""
-    return x.numerator % p * pow(x.denominator, -1, p) % p
+    """x mod p for an integer, or a rational whose denominator is prime to p.
+
+    >>> reduce_mod(-3, 7), reduce_mod(Fraction(1, 2), 7)
+    (4, 4)
+    """
+    n, d = x.numerator, x.denominator
+    return n % p if d == 1 else n % p * pow(d, -1, p) % p
 
 
 def kfree_reduce(t: Rational | int, k: int) -> int:

@@ -730,6 +730,36 @@ def test_doctored_model_is_caught_by_quadratic_suite():
     assert not rep.all_pass()
 
 
+_CELL_ORDER = tuple(QuarticCell)
+# suite -> (the function its claimed side calls, the prime it goes wrong at, that call's p, a wrong value)
+DOCTORED_CLAIMS = {
+    "trace-symbol": ("trace_symbol_exp", 29, lambda a, b, t, p: p, lambda e: (e + 1) % 4),
+    "two-factor": ("two_exp", 29, lambda a, b: a * a + b * b, lambda e: (e + 1) % 4),
+    "odd-factor": ("odd_factor_exp", 13, lambda ell, a, b: a * a + b * b, lambda e: (e + 2) % 4),
+    "nine-cells": ("quartic_cell", 17, lambda p, t: p, lambda cell: _CELL_ORDER[(_CELL_ORDER.index(cell) + 1) % 9]),
+    "sextic-order1": ("_sextic_rhs", 43, lambda p, tm: p, lambda v: not v),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCTORED_CLAIMS))
+def test_a_claimed_side_wrong_at_one_prime_is_reported(name, monkeypatch):
+    # the claimed side is live: one wrong value at one prime is a violation there,
+    # and the suite checks exactly as much as before
+    fn_name, p0, p_of, wrong = DOCTORED_CLAIMS[name]
+    clean = verify_suite(name, p_max=2_000)
+    shipped = getattr(density, fn_name)
+
+    def doctored(*args):
+        value = shipped(*args)
+        return wrong(value) if p_of(*args) == p0 else value
+
+    monkeypatch.setattr(density, fn_name, doctored)
+    res = verify_suite(name, p_max=2_000)
+    assert clean.ok() and res.checked == clean.checked
+    assert res.violations and {v["p"] for v in res.violations} == {p0}
+    assert all(v["suite"] == name for v in res.violations)
+
+
 SUITE_NAMES = ["twist", "trace-oracle", "quadratic", "cubic", "sextic-order1",
                "odd-factor", "two-factor", "trace-symbol", "nine-cells"]
 

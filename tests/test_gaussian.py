@@ -18,12 +18,17 @@ from cmresidues.gaussian import (
     closed_form_trace_symbol,
     closed_form_two,
     i_image,
+    odd_factor_exp,
     primary_associate,
     primary_class_mod8,
+    quartic_exp,
     quartic_exponent,
     quartic_symbol,
     split_prime,
+    trace_symbol_exp,
+    two_exp,
 )
+from cmresidues.curves import CurveSpec, ap_naive
 from cmresidues.primes import jacobi, primes_in_range
 
 gauss = st.builds(
@@ -183,6 +188,69 @@ def test_trace_symbol_frozen_values():
     # hand-checked smallest cases of the quartic-family trace symbol
     assert str(closed_form_trace_symbol(split_prime(13), 1)) == "-i"
     assert str(closed_form_trace_symbol(split_prime(5), 1)) == "i"
+
+
+def _rational_mod(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_int_level_closed_forms_match_public_and_euler():
+    # both primary divisors of p, so the conjugate (negative b) is covered
+    twists = (1, 2, -2, 3, 6, -8, Fraction(3, 5), Fraction(-1, 2))
+    for p in primes_in_range(5, 3000):
+        if p % 4 != 1:
+            continue
+        for pi in (split_prime(p), split_prime(p).conj()):
+            a, b = pi.re, pi.im
+            assert two_exp(a, b) == closed_form_two(pi).exp == _euler_exp(2, p, pi)
+            for x in (2, 3, 5, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4)):
+                xi = _rational_mod(x, p)
+                if xi:
+                    assert quartic_exp(x, a, b, p) == quartic_exponent(x, pi, p) == _euler_exp(xi, p, pi)
+            for ell in _odd_prime_factors(a):
+                assert odd_factor_exp(ell, a, b) == closed_form_odd_factor(ell, pi).exp == _euler_exp(ell, p, pi)
+            for t in twists:
+                if (2 * Fraction(t).numerator * Fraction(t).denominator) % p == 0:
+                    continue
+                e = trace_symbol_exp(a, b, t, p)
+                assert e == closed_form_trace_symbol(pi, t).exp
+                if p < 400:  # the symbol of the point-counted trace, by Euler
+                    assert e == _euler_exp(ap_naive(CurveSpec(-4, t), p), p, pi), (p, pi, t)
+
+
+def test_int_level_closed_forms_refuse_what_the_public_ones_refuse():
+    p, (a, b) = 13, (3, 2)  # 3+2i is primary; -3-2i, 2-3i and 3+3i are not
+    for bad in ((-3, -2), (2, -3), (3, 3)):
+        with pytest.raises(ValueError, match="not primary"):
+            two_exp(*bad)
+        with pytest.raises(ValueError, match="not primary"):
+            closed_form_two(GaussInt(*bad))
+        with pytest.raises(ValueError, match="not primary"):
+            trace_symbol_exp(*bad, 1, p)
+        with pytest.raises(ValueError, match="not primary"):
+            closed_form_trace_symbol(GaussInt(*bad), 1)
+    for ell in (5, 2, 4, -3, 0):  # ℓ ∤ a, ℓ even, ℓ not positive
+        with pytest.raises(ValueError, match="odd divisor"):
+            odd_factor_exp(ell, a, b)
+        with pytest.raises(ValueError, match="odd divisor"):
+            closed_form_odd_factor(ell, GaussInt(a, b))
+    for t in (13, -26, Fraction(13, 2)):  # p | t
+        with pytest.raises(ValueError, match="quartic symbol of 0"):
+            trace_symbol_exp(a, b, t, p)
+        with pytest.raises(ValueError, match="quartic symbol of 0"):
+            closed_form_trace_symbol(GaussInt(a, b), t)
+        with pytest.raises(ValueError, match="quartic symbol of 0"):
+            quartic_exp(t, a, b, p)
+    with pytest.raises(ValueError):  # a denominator p has no inverse mod p
+        trace_symbol_exp(a, b, Fraction(1, 13), p)
+    for pi, q in ((GaussInt(3, 2), 17), (GaussInt(13, 0), 13)):  # π ∤ q
+        with pytest.raises(ValueError, match="does not divide"):
+            quartic_exp(2, pi.re, pi.im, q)
+        with pytest.raises(ValueError, match="does not divide"):
+            quartic_exponent(2, pi, q)
+    with pytest.raises(ValueError, match="not a power of i"):  # 7+4i has the composite norm 65
+        quartic_exp(2, 7, 4, 65)
 
 
 def test_primary_class_mod8():

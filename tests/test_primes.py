@@ -27,6 +27,7 @@ from cmresidues.primes import (
     order_dividing,
     parse_rational,
     primes_in_range,
+    reduce_mod,
     sqrt_mod,
     squarefree_part,
 )
@@ -280,3 +281,17 @@ def test_parse_rational():
         parse_rational("three")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_reduce_mod_agrees_with_the_inverse_formula():
+    # the integral case skips the inverse; it must give what numerator · denominator⁻¹ gives
+    for p in (2, 3, 5, 13, 97, 2**31 - 1):
+        for n in (-2 * p - 1, -p, -7, -1, 0, 1, 6, p, 3 * p + 2, 10**12 + 1):
+            for d in (1, 2, 3, 10, 2**40 + 1):
+                if d % p == 0:
+                    continue
+                assert reduce_mod(Fraction(n, d), p) == n % p * pow(d, -1, p) % p
+            assert reduce_mod(n, p) == reduce_mod(Fraction(n), p) == reduce_mod(np.int64(n), p) == n % p
+    for x in (Fraction(1, 13), Fraction(-5, 26), Fraction(7, 13**2)):  # denominator ≡ 0 (mod 13)
+        with pytest.raises(ValueError):
+            reduce_mod(x, 13)
