@@ -33,7 +33,7 @@ import math
 import signal
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from multiprocessing import get_context
 
@@ -801,12 +801,14 @@ def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
         rec.check(c, ps, expected, symbol_exponents(a % ps, pa, pb, ps, 3))
 
 
+@lru_cache(maxsize=1)  # sextic-order1 asks prime-major (``_by_prime``): once per p for all the twists
+def _minus_three_is_quartic(p: int) -> bool:
+    return pow((-3) % p, (p - 1) // 4, p) == 1
+
+
 def _sextic_rhs(p: int, tm: int) -> bool:
-    if p % 36 in (1, 13, 25):
-        quartic_plus = p % 4 == 1 and pow((-3) % p, (p - 1) // 4, p) == 1
-        if p % 36 == 1:
-            return quartic_plus
-        return quartic_plus and pow(tm, (p - 1) // 3, p) == 1
+    if p % 36 in (1, 13, 25):  # so p ≡ 1 (mod 4)
+        return _minus_three_is_quartic(p) and (p % 36 == 1 or pow(tm, (p - 1) // 3, p) == 1)
     if p % 36 == 19:
         return jacobi(tm, p) == -1
     # p ≡ 7, 31 (mod 36)
@@ -819,10 +821,11 @@ def _suite_sextic_order1(seg, rec, specs):
     The left side is computed from a_p, the right side from congruence and
     residue conditions on p alone; they must agree prime by prime.
     """
-    for c, spec in enumerate(specs):
-        ps, _, _ = units = seg.units(spec)
-        rhs = [_sextic_rhs(p, reduce_mod(spec.t, p)) for p in ps.tolist()]
-        rec.check(c, ps, rhs, seg.orders(spec.d, units, (6,))[6] == 1)
+    units = [seg.units(spec) for spec in specs]
+    cases = [(spec.t, ps) for spec, (ps, _, _) in zip(specs, units)]
+    claimed = _by_prime(cases, lambda ts, p: [_sextic_rhs(p, reduce_mod(t, p)) for t in ts])
+    for c, (spec, u, rhs) in enumerate(zip(specs, units, claimed)):
+        rec.check(c, u[0], rhs, seg.orders(spec.d, u, (6,))[6] == 1)
 
 
 def _suite_odd_factor(seg, rec, specs):

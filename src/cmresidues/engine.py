@@ -34,13 +34,12 @@ work at all:
 * order: a twist multiplies Frobenius by a unit of O_K, so at a split
   prime every twist of d has a_p = ±c for one of w/2 traces c that p
   alone fixes (``Segment.units``).  With g = gcd(p - 1, lcm of the d's
-  moduli) and k = (p-1)/g, ``Segment.orders`` keeps |c|^k per (p, unit) for
-  all the twists of d, so a prime takes at most w/2 full powers, and
-  applies the sign as (-1)^k.  Each m-class a^((p-1)/m) = w^(g/m) of
-  w = a^k is read off the order of w (``residue_orders``), which
-  ``order_array`` finds by repeated ℓ-th powers for each prime ℓ of the
-  lcm.  ``Segment.symord`` keeps the orders of the symord(m; t; ·) atoms
-  per (m, t), whatever n.
+  moduli) and k = (p-1)/g, ``Segment.orders`` keeps the order of |c|^k per
+  (p, unit) for all the twists of d: one full power and the repeated ℓ-th
+  powers of ``order_array``, at most w/2 a prime.  Each twist reads the
+  order of w = a^k = ±|c|^k off it, and each m-class a^((p-1)/m) = w^(g/m)
+  off ord(w) (``residue_orders``).  ``Segment.symord`` keeps the orders of
+  the symord(m; t; ·) atoms per (m, t), whatever n.
 
 Every residue is held below p and every product of two residues is formed
 in uint64 before it is reduced, so the engine needs p < 2³² (``P_LIMIT``),
@@ -90,14 +89,10 @@ def pow_array(base: np.ndarray, exp, ps: np.ndarray) -> np.ndarray:
 
     A scalar exponent walks its bits in Python, most significant first; an
     array exponent takes one masked square-and-multiply step per bit of its
-    largest element.  The powers of 0, 1 and -1 are 0, 1 or ±1 (x**0 = 1), so
-    an array with no other base takes no step.
+    largest element.
     """
     p = ps.astype(np.uint64)
     b = base.astype(np.uint64)
-    if not ((1 < b) & (b < p - np.uint64(1))).any():
-        e = np.asarray(exp)
-        return np.where((e == 0) | ((b == p - np.uint64(1)) & (e % 2 == 0)), 1, b).astype(np.int64)
     if np.ndim(exp) == 0:
         if exp == 0:
             return np.ones(len(ps), dtype=np.int64)
@@ -148,15 +143,15 @@ def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
     return order
 
 
-def residue_orders(a: np.ndarray, ps: np.ndarray, moduli, power=None) -> dict[int, np.ndarray]:
+def residue_orders(a: np.ndarray, ps: np.ndarray, moduli, memo=None) -> dict[int, np.ndarray]:
     """m -> order of the m-th power-residue class a^((p-1)/m) at each p ≡ 1 (mod m),
     0 elsewhere, for every m in moduli.
 
-    With M = lcm(moduli), g = gcd(p - 1, M) and k = (p-1)/g, the power w = a^k =
-    (-1)^k·|a|^k has order dividing g, and for m | g the m-class a^((p-1)/m) = w^(g/m)
-    has order ord(w)/gcd(ord(w), g/m).  |a|^k is ``pow_array(v, k, q)``, v = |a| mod q,
-    at the primes q = ps[sel] where some m divides p - 1, or ``power(v, k, q, sel)``
-    (``Segment.orders``); ``order_array`` finds ord(w), and raises where a ≡ 0 there.
+    With M = lcm(moduli), g = gcd(p - 1, M) and k = (p-1)/g, w = a^k has order dividing g, and
+    for m | g the m-class a^((p-1)/m) = w^(g/m) has order ord(w)/gcd(ord(w), g/m).  n = ord(|a|^k)
+    is ``order_array(pow_array(|a| mod q, k, q), M, q)`` at the q = ps[sel] where some m divides
+    p - 1 (it raises where a ≡ 0), kept by ``memo(sel, fill)`` if given (``Segment.orders``;
+    fill(new) is n at q[new]).  Where k is odd and a < 0, w = -|a|^k has order 2n/gcd(n + 2, 4).
 
     The sign of a counts where k is odd, as at 13 (k = 3):
 
@@ -170,10 +165,13 @@ def residue_orders(a: np.ndarray, ps: np.ndarray, moduli, power=None) -> dict[in
     q, aq = ps[sel], a[sel]
     k = (q - 1) // g[sel]
     v = np.abs(aq) % q
-    w = pow_array(v, k, q) if power is None else power(v, k, q, sel)
-    w = np.where((k % 2 == 1) & (aq < 0), q - w, w)  # q - 0 is still ≡ 0
+
+    def fill(new):
+        return order_array(pow_array(v[new], k[new], q[new]), M, q[new])
+
+    n = fill(np.ones(len(q), dtype=bool)) if memo is None else memo(sel, fill)
     order = np.zeros(len(ps), dtype=np.int64)  # ord(w)
-    order[sel] = order_array(w, M, q)
+    order[sel] = np.where((k % 2 == 1) & (aq < 0), 2 * n // np.gcd(n + 2, 4), n)
     out = {}
     for m in moduli:
         at = g % m == 0
@@ -462,15 +460,13 @@ class Segment:
 
     def orders(self, d: int, units, moduli) -> dict[int, np.ndarray]:
         """``residue_orders`` of a_p at units, ``units`` of a twist of d or a subset of its
-        primes.  |a_p| = |c[e mod w/2]|, so one memo per d and lcm(moduli), shared by the
-        twists of d, keeps |a_p|^k per (p, e mod w/2): at most w/2 full powers a prime."""
+        primes.  |a_p| = |c[e mod w/2]|, so one memo per d and lcm(moduli), shared by the twists
+        of d, keeps ord(|a_p|^k) per (p, e mod w/2): at most w/2 full powers and orders a prime."""
         ps, c, e = units
-        key, j = ("power", d, lcm(*moduli)), e % len(c)
-
-        def power(v, k, q, sel):
-            return self._memo(key, q, lambda new: pow_array(v[new], k[new], q[new]), j[sel], len(c))
-
-        return residue_orders(np.choose(e, [*c, *-c]), ps, moduli, power)
+        key, j = ("order", d, lcm(*moduli)), e % len(c)
+        return residue_orders(
+            np.choose(e, [*c, *-c]), ps, moduli, lambda sel, fill: self._memo(key, ps[sel], fill, j[sel], len(c))
+        )
 
     def good_traces(self, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
         """(p, a_p) at every good prime of E_t, a_p = 0 at the inert ones (cf. ``curves.ap``)."""

@@ -760,6 +760,23 @@ def test_a_claimed_side_wrong_at_one_prime_is_reported(name, monkeypatch):
     assert all(v["suite"] == name for v in res.violations)
 
 
+def test_sextic_claimed_side_takes_one_quartic_power_per_prime(monkeypatch):
+    # (-3)^((p-1)/4) depends on p alone: the claimed side takes it with its own
+    # Python pow once per p for all the twists, not once per (p, t)
+    powered = []
+
+    def counting_pow(base, exp, mod):
+        if (base, exp) == ((-3) % mod, (mod - 1) // 4):
+            powered.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(density, "pow", counting_pow, raising=False)
+    density._minus_three_is_quartic.cache_clear()
+    res = verify_suite("sextic-order1", ts=[2, 3, 5], p_max=30_000)
+    assert res.ok() and res.checked > 0
+    assert len(powered) == len(set(powered)) == 792
+
+
 SUITE_NAMES = ["twist", "trace-oracle", "quadratic", "cubic", "sextic-order1",
                "odd-factor", "two-factor", "trace-symbol", "nine-cells"]
 

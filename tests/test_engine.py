@@ -101,7 +101,7 @@ def test_mod_and_pow_arrays():
         assert mod_array(n, ps).tolist() == [n % p for p in ps.tolist()]
     edge = prime_array(*EDGE)
     big = mod_array(3**50, edge)
-    low = np.choose(np.arange(len(edge)) % 3, [0, 1, edge - 1])  # bases 0, 1 and -1 only: no step taken
+    low = np.choose(np.arange(len(edge)) % 3, [0, 1, edge - 1])  # bases 0, 1 and -1 only: the edge cases
     exps = edge - 2
     exps[::3] = 0
     for base in (big, low, np.where(low == 1, big, low)):
@@ -517,8 +517,9 @@ def test_octic_scan_takes_one_full_power(monkeypatch):
     assert d == -4 and walked.tolist() == split[split % 8 == 1].tolist()
 
 
-def _count_full_powers(monkeypatch):
-    """(inside ``Segment.orders``, ps, base) of every full-exponent ``pow_array`` call."""
+def _count_full_powers(monkeypatch, ordered=None):
+    """(inside ``Segment.orders``, ps, base) of every full-exponent ``pow_array`` call; given a
+    list ``ordered``, the ps of every ``order_array`` call inside ``Segment.orders`` go to it."""
     full, stage = [], []
     orders = Segment.orders
 
@@ -526,6 +527,11 @@ def _count_full_powers(monkeypatch):
         if isinstance(exp, np.ndarray):
             full.append((bool(stage), ps.copy(), base.copy()))
         return pow_array(base, exp, ps)
+
+    def recording_order(v, m, ps):
+        if stage:
+            ordered.append(ps.copy())
+        return order_array(v, m, ps)
 
     def orders_stage(*args):
         stage.append(True)
@@ -536,6 +542,8 @@ def _count_full_powers(monkeypatch):
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     monkeypatch.setattr(Segment, "orders", orders_stage)
+    if ordered is not None:
+        monkeypatch.setattr(engine, "order_array", recording_order)
     return full
 
 
@@ -581,14 +589,17 @@ CENSUS = tuple(ScanItem(-4, Fraction(t), (8, 4)) for t in range(-40, 3) if t and
 )
 def test_many_twists_share_the_orders_of_each_prime(items, monkeypatch):
     # however many twists of d tally a prime, its orders take at most w_d/2 full
-    # powers, one per unit up to sign; the tallies stay those of the per-prime loop
+    # powers and ``order_array`` runs, one per unit up to sign, and each twist reads
+    # its sign off the order; the tallies stay those of the per-prime loop
     bounds = (5, 30_000)
-    full = _count_full_powers(monkeypatch)
+    ordered = []
+    full = _count_full_powers(monkeypatch, ordered)
     plan = _plan(items)
     assert _scan_chunk(plan, bounds) == _reference_chunk(plan, bounds)
     powered = np.concatenate([ps for inside, ps, _ in full if inside])
     w = 4 if items[0].d == -4 else 6
     assert np.unique(powered, return_counts=True)[1].max() == w // 2
+    assert np.unique(np.concatenate(ordered), return_counts=True)[1].max() == w // 2
     monkeypatch.undo()
     seg = Segment(*bounds)
     units = [seg.units(spec) for spec in dict.fromkeys(plan[1])]
