@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,35 +65,20 @@ _OPTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    d: int | None = None
-    t: Fraction | None = None
-    m: int | None = None
-    n: int | None = None
-    set: str | None = None
-    pmax: int = 100_000
-    oracle_bound: int | None = None
-    workers: int | None = None
-    format: str | None = None
-    out: str | None = None
-    curve_table: str | None = None
-    suite: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.pmax < 5:
-            raise UsageError(f"--pmax must be at least 5, got {self.pmax}")
-        if self.workers is not None and self.workers < 1:
-            raise UsageError(f"--workers must be positive, got {self.workers}")
-        if self.format not in (None, "csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {self.format!r}")
-        if self.command == "verify" and self.format == "csv":
-            raise UsageError("verify does not take --format csv: suites write JSON")
-        if self.d is not None and self.d not in DISCRIMINANTS:
-            raise UsageError(f"--d must be one of {DISCRIMINANTS}, got {self.d}")
-        if self.t is not None and self.t == 0:
-            raise UsageError("--t must be nonzero")
+def _check(cfg: argparse.Namespace) -> None:
+    """Refuse the values a run cannot honour, whether given as flags or in the config file."""
+    if cfg.pmax < 5:
+        raise UsageError(f"--pmax must be at least 5, got {cfg.pmax}")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise UsageError(f"--workers must be positive, got {cfg.workers}")
+    if cfg.format not in (None, "csv", "json"):
+        raise UsageError(f"--format must be csv or json, got {cfg.format!r}")
+    if cfg.command == "verify" and cfg.format == "csv":
+        raise UsageError("verify does not take --format csv: suites write JSON")
+    if cfg.d is not None and cfg.d not in DISCRIMINANTS:
+        raise UsageError(f"--d must be one of {DISCRIMINANTS}, got {cfg.d}")
+    if cfg.t is not None and cfg.t == 0:
+        raise UsageError("--t must be nonzero")
 
 
 def read_config_file(path: str) -> dict:
@@ -132,11 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    """One RunConfig from flags over config values, each typed by ``_OPTIONS``;
-    an option the command does not honour is refused wherever it is given."""
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """The run configuration: ``command`` and every ``_OPTIONS`` field, from flags over config
+    values, each typed by ``_OPTIONS``, None where neither gives it, except ``pmax``
+    (100 000); an option the command does not honour is refused wherever it is given."""
     file_values = read_config_file(args.config) if args.config else {}
-    values = {}
+    cfg = argparse.Namespace(**{name.replace("-", "_"): None for name in _OPTIONS})
+    cfg.command, cfg.pmax = args.command, 100_000
     for name, (kind, commands, _) in _OPTIONS.items():
         field = name.replace("-", "_")
         flag = getattr(args, field)
@@ -149,24 +135,25 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         if args.command not in commands:
             raise UsageError(f"{where}{args.command} does not take {given}")
         try:
-            values[field] = kind(text)
+            setattr(cfg, field, kind(text))
         except ValueError as e:
             raise UsageError(f"{where}bad {given} value {text!r}: {e}") from None
-    return RunConfig(command=args.command, **values)
+    _check(cfg)
+    return cfg
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(text: str, cfg: argparse.Namespace) -> None:
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_table(cfg: RunConfig):
+def _load_table(cfg: argparse.Namespace):
     return load_curve_table(cfg.curve_table) if cfg.curve_table else None
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     """run an exact per-prime identity suite"""
     if not cfg.suite:
         raise UsageError("verify needs --suite; pick from " + ", ".join(sorted(SUITES)))
@@ -193,7 +180,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if res.ok() else 1
 
 
-def _cmd_scan(cfg: RunConfig, make_report) -> int:
+def _cmd_scan(cfg: argparse.Namespace, make_report) -> int:
     if cfg.d is None or cfg.m is None:
         raise UsageError(f"{cfg.command} needs --d and --m")
     if cfg.n is not None and (cfg.n < 1 or cfg.m % cfg.n):
@@ -214,12 +201,12 @@ def _cmd_scan(cfg: RunConfig, make_report) -> int:
     return 0 if report.all_pass() else 1
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(cfg: argparse.Namespace) -> int:
     """order densities of the m-class over a conditioned set"""
     return _cmd_scan(cfg, density_report)
 
 
-def cmd_conjecture(cfg: RunConfig) -> int:
+def cmd_conjecture(cfg: argparse.Namespace) -> int:
     """scaling-law check: m-scan vs rescaled gcd(m,w)-scan"""
     return _cmd_scan(cfg, conjecture_report)
 

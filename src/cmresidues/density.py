@@ -44,7 +44,6 @@ from .engine import (
     P_LIMIT,
     Segment,
     isqrt_array,
-    legendre_array,
     mod_array,
     pow_array,
     set_mask,
@@ -739,8 +738,9 @@ def _suite_twist(seg, rec, specs):
         one = CurveSpec(spec.d, 1, spec.model)  # E_1's traces, once for all the twists of d
         ps, a = ones[one] = ones.get(one) or seg.good_traces(one)
         good = mod_array(spec.bad_product(), ps) != 0
-        cases.append((spec, ps[good]))
-        rhs.append(legendre_array(spec.t.numerator * spec.t.denominator, ps[good]) * a[good])
+        ps, a = ps[good], a[good]
+        cases.append((spec, ps))
+        rhs.append((1 - 2 * symbol_exponents(mod_array(spec.t.numerator * spec.t.denominator, ps), ps, 2)) * a)
     for c, ((_, ps), expected, naive) in enumerate(zip(cases, rhs, _naive_by_prime(cases))):
         rec.check(c, ps, expected, naive)
 
@@ -779,7 +779,7 @@ def _suite_quadratic(seg, rec, specs):
             quartic_d[one] = pow_array(mod_array(d, split[one]), (split[one] - 1) // 4, split[one]) == 1
         for c in (c for c, spec in enumerate(specs) if spec.d == d):
             ps, _, _ = units = seg.units(specs[c])
-            minus_t = -legendre_array(specs[c].t.numerator * specs[c].t.denominator, ps)
+            minus_t = 2 * symbol_exponents(mod_array(specs[c].t.numerator * specs[c].t.denominator, ps), ps, 2) - 1
             if d == -4:
                 expected = np.where(ps % 8 == 1, 1, minus_t)
             else:
@@ -796,9 +796,9 @@ def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
     for c, spec in enumerate(specs):
         ps, a = seg.traces(spec)
         pa, pb = seg.primary(-3, ps, convention)
-        e_t = symbol_exponents(mod_array(spec.t.numerator * spec.t.denominator**2, ps), pa, pb, ps, 3)
+        e_t = symbol_exponents(mod_array(spec.t.numerator * spec.t.denominator**2, ps), ps, 3, (pa, pb))
         expected = np.where(ps % 9 == 1, 0, np.where(ps % 9 == 4, 2 * e_t % 3, e_t))
-        rec.check(c, ps, expected, symbol_exponents(a % ps, pa, pb, ps, 3))
+        rec.check(c, ps, expected, symbol_exponents(a % ps, ps, 3, (pa, pb)))
 
 
 @lru_cache(maxsize=1)  # sextic-order1 asks prime-major (``_by_prime``): once per p for all the twists
@@ -837,7 +837,7 @@ def _suite_odd_factor(seg, rec, specs):
     sizes = [len(i) for i in at]
     k = np.concatenate([np.empty(0, dtype=np.int64)] + at)
     # every (ℓ, p) pair in one Euler power, cut back into one run per ℓ
-    euler = symbol_exponents(np.repeat(ells, sizes), a[k], b[k], ps[k], 4)
+    euler = symbol_exponents(np.repeat(ells, sizes), ps[k], 4, (a[k], b[k]))
     for ell, i, e in zip(ells.tolist(), at, np.split(euler, np.cumsum(sizes)[:-1])):
         closed = [odd_factor_exp(ell, x, y) for x, y in zip(a[i].tolist(), b[i].tolist())]
         rec.check(0, ps[i], e, closed, sub=ell)
@@ -848,7 +848,7 @@ def _suite_two_factor(seg, rec, specs):
     ps = seg.form(-4)[0]
     a, b = seg.primary(-4, ps)
     closed = list(map(two_exp, a.tolist(), b.tolist()))
-    rec.check(0, ps, symbol_exponents(np.full(len(ps), 2), a, b, ps, 4), closed)
+    rec.check(0, ps, symbol_exponents(np.full(len(ps), 2), ps, 4, (a, b)), closed)
 
 
 def _suite_trace_symbol(seg, rec, specs):
@@ -857,7 +857,7 @@ def _suite_trace_symbol(seg, rec, specs):
         ps, a = seg.traces(spec)
         pa, pb = seg.primary(-4, ps)
         closed = [trace_symbol_exp(x, y, spec.t, p) for x, y, p in zip(pa.tolist(), pb.tolist(), ps.tolist())]
-        rec.check(0, ps, closed, symbol_exponents(a % ps, pa, pb, ps, 4), sub=k)
+        rec.check(0, ps, closed, symbol_exponents(a % ps, ps, 4, (pa, pb)), sub=k)
 
 
 _CELLS = tuple(QuarticCell)
@@ -890,7 +890,7 @@ def _suite_nine_cells(seg, rec, specs):
         masks = [set_mask(quartic_cell_expr(cell, spec.t), ps, seg) for cell in _CELLS]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
         rec.check(c, ps, bits, member, show=_cell_list)
-        e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
+        e = symbol_exponents(a % ps, ps, 4, seg.primary(-4, ps))
         rec.check(c, ps, orders, np.choose(e, [1, 4, 2, 4]), sub=1)
         pinned = exps >= 0
         rec.check(c, ps[pinned], exps[pinned], e[pinned], sub=2)

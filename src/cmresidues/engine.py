@@ -10,13 +10,15 @@ work at all:
 
 * sieve: ``primes.prime_array`` lists the primes of the segment;
 * norm form: ``Segment.form`` walks the lattice points of p = x² + y²,
-  x² + 3y², x² + 2y² or 4p = u² + |d|v² over the segment, in blocks of
-  ``_BLOCK`` points and only through the admissible parity, keeps the
-  prime values and sorts them by p once; the primary divisors in Z[i]
-  and Z[ω] follow from them.  A scan gives each d the gcd q of its items'
-  lcm(moduli), and the walk visits only the rows y whose class mod a power
-  of 2 can give p ≡ 1 (mod gcd(q, 8)) (``_walk_classes``): b ≡ 0 (mod 4)
-  for the octic item.  A lookup of a prime the walk skipped raises;
+  x² + 3y², x² + 2y² or 4p = u² + |d|v² over the segment in one numpy
+  pass, only through the admissible parity, keeps the prime values and
+  sorts them by p once; the segment's width bounds the points (at most
+  about 1.2·10⁵ per d in a segment of 250 000, whatever its height).  The
+  primary divisors in Z[i] and Z[ω] follow from them.  A scan gives each d
+  the gcd q of its items' lcm(moduli), and the walk visits only the rows y
+  whose class mod a power of 2 can give p ≡ 1 (mod gcd(q, 8))
+  (``_walk_classes``): b ≡ 0 (mod 4) for the octic item.  A lookup of a
+  prime the walk skipped raises;
 * trace: ``Segment.units`` evaluates a_p by the closed forms of
   ``curves.ap`` at the primes ≡ 1 mod a given modulus only, with Legendre
   tables mod |d| and mod 8 for the base traces.  The twist's characters
@@ -28,8 +30,9 @@ work at all:
   its reciprocity table (``_reciprocity_table``: (ℓ/π)_4 from π mod ℓ and
   (p-1)/4 mod 2, (ℓ/π)_3 from π mod ℓ, or mod 9 for ℓ = 3, and (ℓ/p) from
   p mod 4ℓ), built once per (ℓ, k) on first use.  Every other base takes
-  one Euler power per segment and k, the quartic and cubic ones by
-  comparing v·b with ∓a mod p (so no modular inverse: ``symbol_exponents``);
+  one Euler power per segment and k through ``symbol_exponents``, the one
+  Euler kernel, which reads the quartic and cubic ones by comparing v·b
+  with ∓a mod p (so no modular inverse);
 * eligibility: ``set_mask`` is the array form of ``prime_sets.classify``;
 * order: a twist multiplies Frobenius by a unit of O_K, so at a split
   prime every twist of d has a_p = ±c for one of w/2 traces c that p
@@ -64,7 +67,6 @@ from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
 from .primes import _factorint, _trial_divide, jacobi, prime_array
 
 P_LIMIT = 1 << 32
-_BLOCK = 4096  # lattice points per enumeration block
 TABLE_BOUND = 1 << 8  # odd prime bases below it take their characters from ``_reciprocity_table``
 
 
@@ -116,12 +118,6 @@ def pow_array(base: np.ndarray, exp, ps: np.ndarray) -> np.ndarray:
         b *= b
         b %= p
     return r.astype(np.int64)
-
-
-def legendre_array(n: int, ps: np.ndarray) -> np.ndarray:
-    """(n/p) for every odd prime p in ps by Euler's criterion: 1, -1, or 0 where p | n."""
-    v = pow_array(mod_array(n, ps), (ps - 1) // 2, ps)
-    return np.where(v == 1, 1, np.where(v == 0, 0, -1))
 
 
 def order_array(v: np.ndarray, m: int, ps: np.ndarray) -> np.ndarray:
@@ -180,18 +176,23 @@ def residue_orders(a: np.ndarray, ps: np.ndarray, moduli, memo=None) -> dict[int
     return out
 
 
-def symbol_exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray, ps: np.ndarray, k: int) -> np.ndarray:
-    """e with (x/π)_k = ζ^e at each p, 0 < x < p: k = 4, π = a + bi, ζ = i
-    (``quartic_exponent``), or k = 3, π = a + bω, ζ = ω (``cubic_exponent``).
+def symbol_exponents(x: np.ndarray, ps: np.ndarray, k: int, pi=None) -> np.ndarray:
+    """e with (x/p)_k = ζ^e at each p in ps, 0 < x < p, by Euler's criterion (the engine's
+    one Euler kernel): k = 2, ζ = -1, the Legendre symbol; k = 4 at π = a + bi, ζ = i
+    (``quartic_exponent``), or k = 3 at π = a + bω, ζ = ω (``cubic_exponent``), pi = (a, b).
 
     ζ ≡ -a/b (mod π), so x^((p-1)/k) ≡ ζ^e is tested on products with b:
     no modular inverse.
     """
     v = pow_array(x, (ps - 1) // k, ps)
-    vb = v * b % ps
-    # the higher powers: i² = -1 and i³ ≡ a/b, or ω² ≡ (a - b)/b
-    rest = [v == ps - 1, vb == a % ps] if k == 4 else [vb == (a - b) % ps]
-    e = np.select([v == 1, vb == -a % ps] + rest, list(range(k)), default=-1)
+    if k == 2:
+        roots = [v == 1, v == ps - 1]
+    else:
+        a, b = pi
+        vb = v * b % ps
+        # ζ, then the higher powers: i² = -1 and i³ ≡ a/b, or ω² ≡ (a - b)/b
+        roots = [v == 1, vb == -a % ps] + ([v == ps - 1, vb == a % ps] if k == 4 else [vb == (a - b) % ps])
+    e = np.select(roots, list(range(k)), default=-1)
     if (e < 0).any():
         raise ValueError("character value is not a root of unity of the expected order")
     return e
@@ -336,21 +337,17 @@ class Segment:
         x0 = isqrt_array(np.maximum(lo - dy, 1) - 1) + 1  # least x > 0 with x² + Dy² >= lo
         x1 = isqrt_array(hi - 1 - dy)  # greatest x with x² + Dy² < hi
         x0 += (x0 - alpha * ys - beta) % 2  # first x of the admissible parity
-        counts = np.maximum((x1 - x0) // 2 + 1, 0)
-        rows = counts > 0
-        ys, x0, counts = ys[rows], x0[rows], counts[rows]
+        counts = np.maximum((x1 - x0) // 2 + 1, 0)  # a row with no points repeats zero times
         starts = np.cumsum(counts) - counts  # index of the first point of each row
-        total = int(counts.sum())
-        hits = [(np.empty(0, dtype=np.int64),) * 3]  # (p, x, y) of the prime values, block by block
-        for k0 in range(0, total, _BLOCK):
-            k = np.arange(k0, min(k0 + _BLOCK, total), dtype=np.int64)
-            row = np.searchsorted(starts, k, side="right") - 1
-            x = x0[row] + 2 * (k - starts[row])
-            y = ys[row]
-            p = (x * x + D * y * y) // scale
-            prime = self._place[p - self.lo] >= 0
-            hits.append((p[prime], x[prime], y[prime]))
-        p, x, y = (np.concatenate(c) for c in zip(*hits))
+        # every point at once, in place: the k-th is x = x0 + 2(k - start) on its row, and
+        # n = (x² + Dy²)/scale - self.lo its offset in the segment
+        x = np.repeat(x0 - 2 * starts, counts)
+        x += np.arange(0, 2 * len(x), 2)
+        n = x * x
+        n += np.repeat(dy - lo, counts)
+        n //= scale
+        prime = self._place[n] >= 0
+        p, x, y = n[prime] + self.lo, x[prime], np.repeat(ys, counts)[prime]
         by_p = np.argsort(p)  # one solution per split prime, so p has no repeats
         self._forms[d] = out = (p[by_p], x[by_p], y[by_p])
         return out
@@ -418,10 +415,7 @@ class Segment:
 
         def euler(new):
             q = ps[new]
-            x = mod_array(base, q)
-            if k == 2:
-                return (pow_array(x, (q - 1) // 2, q) != 1).astype(np.int64)
-            return symbol_exponents(x, pi[0][new], pi[1][new], q, k)
+            return symbol_exponents(mod_array(base, q), q, k, None if k == 2 else (pi[0][new], pi[1][new]))
 
         return self._memo(("character", k, base), ps, euler)
 

@@ -51,7 +51,7 @@ from cmresidues.density import (
     trivial_symbol_density,
     verify_suite,
 )
-from cmresidues.engine import legendre_array, mod_array, pow_array, residue_orders, set_mask, symbol_exponents
+from cmresidues.engine import mod_array, pow_array, residue_orders, set_mask, symbol_exponents
 from cmresidues.gaussian import split_prime
 from cmresidues.prime_sets import (
     CongMod,
@@ -881,7 +881,7 @@ def _reference_quadratic(seg, rec, specs):
     for c, spec in enumerate(specs):
         d, t = spec.d, spec.t
         ps, a = seg.traces(spec)
-        minus_t = -legendre_array(t.numerator * t.denominator, ps)
+        minus_t = 2 * symbol_exponents(mod_array(t.numerator * t.denominator, ps), ps, 2) - 1
         if d == -4:
             expected = np.where(ps % 8 == 1, 1, minus_t)
         else:
@@ -906,7 +906,7 @@ def _reference_nine_cells(seg, rec, specs):
         masks = [set_mask(quartic_cell_expr(cell, t), ps, seg) for cell in cells_of]
         member = sum(mask.astype(np.int64) << k for k, mask in enumerate(masks))
         rec.check(c, ps, [1 << cells_of.index(cell) for cell in cells], member, show=density._cell_list)
-        e = symbol_exponents(a % ps, *seg.primary(-4, ps), ps, 4)
+        e = symbol_exponents(a % ps, ps, 4, seg.primary(-4, ps))
         rec.check(c, ps, [cell.trace_symbol_order for cell in cells], np.choose(e, [1, 4, 2, 4]), sub=1)
         exps = np.array([-1 if cell.trace_symbol_exp is None else cell.trace_symbol_exp for cell in cells])
         pinned = exps >= 0

@@ -233,6 +233,29 @@ def test_form_solves_the_norm_equation(lo):
             assert set(walked) >= {p for p in ps if (p - 1) % math.gcd(q, 8) == 0}, (d, q)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [(5, 5), (2, 3), (0, 50), "one split prime", (10**6, 10**6 + 1), (10**6, 10**6 + 2), (P_LIMIT - 5, P_LIMIT)],
+)
+def test_form_of_tiny_and_empty_segments(bounds):
+    # segments so narrow that most rows of the lattice hold no point: the walk
+    # still finds every odd split prime, 2 never (it splits in -7, and no curve
+    # is good there), and a restricted walk still holds every p ≡ 1 (mod 8)
+    for d in DISCRIMINANTS:
+        if bounds == "one split prime":  # the least split prime of d above 10⁶
+            lo = next(p for p in primes_in_range(10**6, 10**6 + 1000) if jacobi(d, p) == 1)
+            hi = lo + 1
+        else:
+            lo, hi = bounds
+        split = [p for p in primes_in_range(lo, hi) if p > 2 and jacobi(d, p) == 1]
+        assert Segment(lo, hi).form(d)[0].tolist() == split, (d, lo, hi)
+        walked = Segment(lo, hi, {d: 8}).form(d)[0].tolist()
+        assert set(walked) <= set(split), (d, lo, hi)
+        assert set(walked) >= {p for p in split if p % 8 == 1}, (d, lo, hi)
+        if bounds == "one split prime":
+            assert split == [lo], d
+
+
 def test_good_traces_are_zero_at_inert_primes():
     seg = Segment(2, 30_000)
     for d in (-4, -3, -19):
@@ -257,7 +280,7 @@ def test_divisors_and_exponents_match_the_scalar_route():
             pis = [split_prime_eis(p, convention) for p in ps.tolist()]
         assert list(zip(a.tolist(), b.tolist())) == [tuple(vars(pi).values()) for pi in pis]
         for x in (2, 3, 7, 11):
-            got = symbol_exponents(np.full(len(ps), x), a, b, ps, k)
+            got = symbol_exponents(np.full(len(ps), x), ps, k, (a, b))
             assert got.tolist() == [scalar(x, pi, p) for pi, p in zip(pis, ps.tolist())]
 
 
@@ -332,7 +355,7 @@ def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
         assert powers == []
         for n, e in zip((-1, 2), got):
             x = n % ps
-            want = (pow_array(x, (ps - 1) // 2, ps) != 1).astype(np.int64) if k == 2 else symbol_exponents(x, *pi, ps, k)
+            want = symbol_exponents(x, ps, k, pi)
             assert e.tolist() == want.tolist(), (n, k, convention)
             assert len(set(e.tolist())) == {(-1, 3): 1, (-1, 4): 2}.get((n, k), k)  # every value occurs
 
@@ -374,12 +397,9 @@ def test_reciprocity_tables_match_euler(k, d):
         for ell in prime_array(3, engine.TABLE_BOUND).tolist():
             keep = ps % ell != 0
             q, x = ps[keep], np.full(keep.sum(), ell)
-            if k == 2:
-                want = pow_array(x, (q - 1) // 2, q) != 1
-                got = seg.character(ell, q, k)
-            else:
-                want = symbol_exponents(x, pi[0][keep], pi[1][keep], q, k)
-                got = seg.character(ell, q, k, (pi[0][keep], pi[1][keep]))
+            pq = None if d is None else (pi[0][keep], pi[1][keep])
+            want = symbol_exponents(x, q, k, pq)
+            got = seg.character(ell, q, k, pq)
             assert got.tolist() == want.tolist(), (ell, k, convention)
             assert len(set(got.tolist())) == k, (ell, k, convention)
 
