@@ -684,15 +684,15 @@ class SuiteResult:
 class _Recorder:
     """Check count and violations, keyed (case, p, sub) and unique, of one suite over one segment."""
 
-    def __init__(self, suite: str, cap: int):
-        self.suite, self.cap, self.checked = suite, cap, 0
+    def __init__(self, suite: str):
+        self.suite, self.checked = suite, 0
         self.found: list[tuple[tuple, dict]] = []
 
     def check(self, case: int, ps: np.ndarray, expected, got, sub: int = 0, show=str) -> None:
         """One check per p in ps: expected[i] == got[i], a scalar standing for every i."""
         expected, got = (np.broadcast_to(np.asarray(v), ps.shape) for v in (expected, got))
         self.checked += len(ps)
-        for i in np.flatnonzero(expected != got)[: self.cap].tolist():  # ps ascend: the first by key
+        for i in np.flatnonzero(expected != got)[:_VIOLATION_CAP].tolist():  # ps ascend: the first by key
             v = {"p": int(ps[i]), "suite": self.suite, "expected": show(expected[i]), "got": show(got[i])}
             self.found.append(((case, v["p"], sub), v))
 
@@ -787,7 +787,7 @@ def _suite_quadratic(seg, rec, specs):
             rec.check(c, ps, expected, np.where(seg.orders(d, units, (2,))[2] == 1, 1, -1))
 
 
-def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
+def _suite_cubic(seg, rec, specs):
     """The cubic residue class of a_p (d = -3) through the mod-9 cells.
 
     (a_p/π)_3 is trivial for p ≡ 1 (mod 9), and equals (t/π)_3^(±1) on the
@@ -795,7 +795,7 @@ def _suite_cubic(seg, rec, specs, convention=PRIMARY_CONVENTION):
     """
     for c, spec in enumerate(specs):
         ps, a = seg.traces(spec)
-        pa, pb = seg.primary(-3, ps, convention)
+        pa, pb = seg.primary(-3, ps)
         e_t = symbol_exponents(mod_array(spec.t.numerator * spec.t.denominator**2, ps), ps, 3, (pa, pb))
         expected = np.where(ps % 9 == 1, 0, np.where(ps % 9 == 4, 2 * e_t % 3, e_t))
         rec.check(c, ps, expected, symbol_exponents(a % ps, ps, 3, (pa, pb)))
@@ -911,19 +911,19 @@ SUITES = {
 }
 
 
-def _check_segment(name: str, check, specs, cap: int, bounds: tuple[int, int]) -> tuple[int, list]:
+def _check_segment(name: str, check, specs, bounds: tuple[int, int]) -> tuple[int, list]:
     """(checks, first violations by key) of a suite over one Segment, shared by all of its cases."""
-    rec = _Recorder(name, cap)
+    rec = _Recorder(name)
     check(Segment(*bounds), rec, specs)
-    return rec.checked, sorted(rec.found)[:cap]
+    return rec.checked, sorted(rec.found)[:_VIOLATION_CAP]
 
 
-def _run_suite(name: str, check, specs, params: dict, p_max: int, cap: int, workers: int = 1):
+def _run_suite(name: str, check, specs, params: dict, p_max: int, workers: int = 1):
     """The segments of [5, p_max) on ``workers`` processes, as a scan's; the violations,
     in case order and then by p for any segment cut, merge by key and are cut to the cap once."""
-    fn = partial(_check_segment, name, check, specs, cap)
+    fn = partial(_check_segment, name, check, specs)
     parts = _map_segments(fn, _segments(5, max(p_max, 5)), workers)
-    found = sorted(kv for _, kept in parts for kv in kept)[:cap]
+    found = sorted(kv for _, kept in parts for kv in kept)[:_VIOLATION_CAP]
     return SuiteResult(name, sum(n for n, _ in parts), [v for _, v in found], params)
 
 
@@ -935,7 +935,6 @@ def verify_suite(
     p_max: int = 100_000,
     oracle_bound: int = ORACLE_BOUND,
     table: dict[int, CurveModel] | None = None,
-    max_violations: int = _VIOLATION_CAP,
     workers: int = 1,
 ) -> SuiteResult:
     """Run one exact per-prime suite; see SUITES for the tokens.
@@ -943,10 +942,11 @@ def verify_suite(
     Only the twist and quadratic suites take discriminants; every other suite
     fixes its own d, odd-factor and two-factor take no twists, and only
     trace-oracle reads ``oracle_bound``.  Passing what a suite cannot honour
-    raises ValueError instead of being ignored, and so do a negative bound,
-    p_max > 2**32 (the engine's limit), a case's curve that ``CurveSpec`` refuses
-    and a range that could need a naive count past ``curves._NAIVE_LIMIT`` (twist
-    counts every good p < p_max, trace-oracle the split p <= oracle_bound).
+    raises ValueError instead of being ignored, and so do an empty ds or ts, a
+    negative bound, p_max > 2**32 (the engine's limit), a case's curve that
+    ``CurveSpec`` refuses and a range that could need a naive count past
+    ``curves._NAIVE_LIMIT`` (twist counts every good p < p_max, trace-oracle the
+    split p <= oracle_bound).
     ``workers`` is ``scan_batch``'s: the result does not depend on it.
     """
     if name not in SUITES:
@@ -967,6 +967,9 @@ def verify_suite(
         raise ValueError(f"suite {name!r} fixes its own discriminant; only {with_ds} take one")
     if ts is not None and default_ts is None:
         raise ValueError(f"suite {name!r} takes no twist parameter")
+    for key, given in (("ds", ds), ("ts", ts)):
+        if given is not None and len(given) == 0:
+            raise ValueError(f"{key} is empty; pass None for the {name} suite's defaults")
     if ds and not set(ds) <= set(default_ds):
         raise ValueError(f"{name} suite covers the discriminants {default_ds}, got {ds}")
     ds, ts = ds or default_ds, tuple(Fraction(t) for t in ts or default_ts or ())
@@ -980,20 +983,4 @@ def verify_suite(
     if name == "cubic":
         params["convention"] = PRIMARY_CONVENTION
     specs = [CurveSpec(d, t, table and table[d]) for d in ds for t in ts]
-    return _run_suite(name, check, specs, params, p_max, max_violations, workers)
-
-
-def calibrate_eisenstein(p_max: int = 10_000, ts=(2, 3, 5)) -> dict[str, int]:
-    """Violation counts of the cubic law under both primary conventions.
-
-    Both are expected to be zero — the cubic symbol is attached to the ideal,
-    not the generator — which is exactly what makes hard-coding
-    PRIMARY_CONVENTION safe.  Kept as a harness so the frozen choice stays
-    an observable fact rather than an assumption.
-    """
-    specs = [CurveSpec(-3, t) for t in ts]
-    out = {}
-    for convention in ("two-mod-three", "one-mod-three"):
-        check = partial(_suite_cubic, convention=convention)
-        out[convention] = len(_run_suite("cubic", check, specs, {}, p_max, _VIOLATION_CAP).violations)
-    return out
+    return _run_suite(name, check, specs, params, p_max, workers)

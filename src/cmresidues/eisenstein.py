@@ -7,10 +7,9 @@ these are the two classical "primary" normalisations.  The cubic residue
 symbol (x/π)_3 — the power of ω congruent to x^((p-1)/3) mod π — depends
 only on the ideal (π), not on the choice of generator: any generator induces
 the same image s of ω in the residue field F_p, because a² - ab + b² ≡ 0
-(mod p) forces b/(a-b) ≡ -a/b.  The convention therefore only selects a
-canonical generator for display and for reproducibility of reports.
-``cmresidues.density.calibrate_eisenstein`` re-checks both conventions
-against point counts; ≡ 2 (mod 3) is the frozen default.
+(mod p) forces b/(a-b) ≡ -a/b.  The generator ≡ 2 (mod 3) is therefore only a
+canonical choice for display and for reproducibility of reports; the one
+≡ 1 (mod 3) is its negative.
 
 >>> pi = split_prime_eis(7)
 >>> (pi.a, pi.b, pi.norm())
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 
 from .primes import Rational, cornacchia, reduce_mod
 
-PRIMARY_CONVENTION = "two-mod-three"  # π ≡ 2 (mod 3); see calibrate_eisenstein
-_TARGETS = {"two-mod-three": 2, "one-mod-three": 1}
+PRIMARY_CONVENTION = "two-mod-three"  # π ≡ 2 (mod 3): the token reports write for the generator
 
 
 @dataclass(frozen=True)
@@ -74,24 +72,23 @@ class EisInt:
         return f"{self.a}{sign}{w}"
 
 
-def primary_associate_eis(z: EisInt, convention: str = PRIMARY_CONVENTION) -> EisInt:
-    """The unique associate ≡ 1 or 2 (mod 3) per the chosen convention."""
-    target = _TARGETS[convention]
-    found = [w for w in z.associates() if w.a % 3 == target and w.b % 3 == 0]
+def primary_associate_eis(z: EisInt) -> EisInt:
+    """The unique associate ≡ 2 (mod 3)."""
+    found = [w for w in z.associates() if w.a % 3 == 2 and w.b % 3 == 0]
     if len(found) != 1:
-        raise ValueError(f"{z}: {len(found)} associates ≡ {target} mod 3; norm divisible by 3?")
+        raise ValueError(f"{z}: {len(found)} associates ≡ 2 mod 3; norm divisible by 3?")
     return found[0]
 
 
-def split_prime_eis(p: int, convention: str = PRIMARY_CONVENTION) -> EisInt:
-    """Canonical divisor of p ≡ 1 (mod 3) in Z[ω], normalised mod 3.
+def split_prime_eis(p: int) -> EisInt:
+    """Canonical divisor of p ≡ 1 (mod 3) in Z[ω], ≡ 2 (mod 3).
 
     From p = u² + 3v² (``cornacchia``): u + v√-3 = (u+v) + 2vω.
     """
     if p % 3 != 1:
         raise ValueError(f"{p} does not split in Z[ω]")
     u, v = cornacchia(3, p)
-    return primary_associate_eis(EisInt(u + v, 2 * v), convention)
+    return primary_associate_eis(EisInt(u + v, 2 * v))
 
 
 def omega_image(pi: EisInt, p: int | None = None) -> int:

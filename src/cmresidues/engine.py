@@ -61,7 +61,6 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .curves import CurveSpec
-from .eisenstein import _TARGETS, PRIMARY_CONVENTION
 from .gaussian import G8_CLASSES
 from .prime_sets import And, CongMod, G8, Not, Or, SetExpr, SymOrder
 from .primes import _factorint, _trial_divide, jacobi, prime_array
@@ -447,9 +446,9 @@ class Segment:
         s = -t if d == -7 else t
         return ps, base[None], self.character(s * spec.twist(), ps, 2)  # (s·D/p)·base
 
-    def traces(self, spec: CurveSpec, modulus: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def traces(self, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
         """(p, a_p) at the primes of ``units``: c[e] for e < w/2, else -c[e - w/2]."""
-        ps, c, e = self.units(spec, modulus)
+        ps, c, e = self.units(spec)
         return ps, np.choose(e, [*c, *-c])
 
     def orders(self, d: int, units, moduli) -> dict[int, np.ndarray]:
@@ -480,18 +479,13 @@ class Segment:
             raise ValueError(f"the walk of d = {d} did not visit p = {ps[~hit][0]}")
         return idx
 
-    def primary(
-        self, d: int, ps: np.ndarray, convention: str = PRIMARY_CONVENTION
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def primary(self, d: int, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The primary divisor of each p in ps (primes of the segment split in d): a + bi,
-        b > 0, for d = -4 (``split_prime``); a + bω ≡ 2 or 1 (mod 3) by ``convention``
-        for d = -3 (``split_prime_eis``)."""
+        b > 0, for d = -4 (``split_prime``); a + bω ≡ 2 (mod 3) for d = -3
+        (``split_prime_eis``); a cubic symbol belongs to the ideal, so at -π it is the same."""
         _, x, y = self.form(d)
         idx = self.index(d, ps)
-        if d == -4:
-            return _gaussian_primary(x[idx], y[idx])
-        a, b = _eisenstein_primary(x[idx], y[idx])
-        return (a, b) if _TARGETS[convention] == 2 else (-a, -b)
+        return (_gaussian_primary if d == -4 else _eisenstein_primary)(x[idx], y[idx])
 
 
 def set_mask(expr: SetExpr, ps: np.ndarray, seg: Segment) -> np.ndarray:

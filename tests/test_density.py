@@ -35,7 +35,6 @@ from cmresidues.density import (
     _judge,
     _map_segments,
     base_meta,
-    calibrate_eisenstein,
     cm4_order_densities,
     conjecture_moduli,
     conjecture_report,
@@ -676,6 +675,11 @@ def test_verify_suite_restrictions_and_errors():
         verify_suite("nine-cells", ds=[-4], p_max=2_000)
     with pytest.raises(ValueError, match="takes no twist"):
         verify_suite("odd-factor", ts=[3], p_max=2_000)
+    # nor is an empty list read as the suite's defaults
+    with pytest.raises(ValueError, match="ts is empty"):
+        verify_suite("twist", ts=[], p_max=2_000)
+    with pytest.raises(ValueError, match="ds is empty"):
+        verify_suite("quadratic", ds=[], ts=[])
 
 
 def test_oracle_bound_and_naive_limit_checked_up_front():
@@ -789,12 +793,16 @@ def test_suite_is_segment_invariant(name, workers, monkeypatch):
     # the suite analogue of test_scan_is_worker_invariant: checks, params and
     # violations (the doctored model makes the quadratic suite's non-empty)
     # do not depend on where the segments are cut, nor on how many processes
-    # check them, under either cap
+    # check them, under either cap (set in the parent, so forked workers see it too)
     kwargs = dict(p_max=6_000, table=_doctored_table())
-    whole = {cap: verify_suite(name, max_violations=cap, **kwargs) for cap in (5, 1000)}
+    whole = {}
+    for cap in (5, 1000):
+        monkeypatch.setattr(density, "_VIOLATION_CAP", cap)
+        whole[cap] = verify_suite(name, **kwargs)
     monkeypatch.setattr(density, "_CHUNK", 977)
     for cap, res in whole.items():
-        cut = verify_suite(name, max_violations=cap, workers=workers, **kwargs)
+        monkeypatch.setattr(density, "_VIOLATION_CAP", cap)
+        cut = verify_suite(name, workers=workers, **kwargs)
         assert (cut.checked, cut.params, cut.violations) == (res.checked, res.params, res.violations)
         assert res.checked > 0
     if name == "quadratic":
@@ -825,31 +833,19 @@ def test_violation_list_and_order(cap, monkeypatch):
     # five segments; the list runs in case order (t = 1, then t = 2), then p,
     # not segment by segment
     monkeypatch.setattr(density, "_CHUNK", 2_500)
+    monkeypatch.setattr(density, "_VIOLATION_CAP", cap)
     table = _doctored_table()
-    res = verify_suite("quadratic", ds=[-11], ts=[1, 2], p_max=12_000, table=table, max_violations=cap)
+    res = verify_suite("quadratic", ds=[-11], ts=[1, 2], p_max=12_000, table=table)
     expected = _quadratic_violations([-11], [1, 2], 12_000, table)
     assert 5 < len(expected) < 1000 and expected[-1]["p"] > 10_000
     assert res.violations == expected[:cap]
 
 
-def test_violation_cap():
-    res = verify_suite(
-        "quadratic", ds=[-11], ts=[1], p_max=4_000, table=_doctored_table(), max_violations=5
-    )
+def test_violation_cap(monkeypatch):
+    monkeypatch.setattr(density, "_VIOLATION_CAP", 5)
+    res = verify_suite("quadratic", ds=[-11], ts=[1], p_max=4_000, table=_doctored_table())
     assert len(res.violations) == 5
     assert res.checked > 5
-
-
-def test_calibrate_eisenstein_both_conventions_clean():
-    out = calibrate_eisenstein(p_max=3_000)
-    assert out == {"two-mod-three": 0, "one-mod-three": 0}
-
-
-def test_calibrate_eisenstein_refuses_a_keyword_it_does_not_read():
-    # d = -3 has one model, so the cubic suite takes no table either
-    for kwargs in ({"workers": 4, "bogus": 1}, {"table": default_table()}):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            calibrate_eisenstein(p_max=2_000, **kwargs)
 
 
 def test_a_table_with_another_quartic_model_is_refused(monkeypatch):
@@ -929,7 +925,7 @@ def test_suite_matches_its_per_case_reference(name, doctored, monkeypatch):
     table = _doctored_table() if doctored else None
     specs = [CurveSpec(d, t, table and table[d]) for d in density.SUITES[name][1] for t in UNEVEN_TWISTS]
     res = verify_suite(name, ts=UNEVEN_TWISTS, p_max=20_000, table=table)
-    ref = density._run_suite(name, REFERENCE_SUITES[name], specs, res.params, 20_000, 1000)
+    ref = density._run_suite(name, REFERENCE_SUITES[name], specs, res.params, 20_000)
     assert res.checked > 0
     assert (res.checked, res.violations) == (ref.checked, ref.violations)
     if name == "quadratic" and doctored:

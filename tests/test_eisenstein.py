@@ -64,13 +64,14 @@ def test_norm_is_z_times_conj(z):
 @settings(max_examples=300, deadline=None)
 def test_primary_unique_among_associates(z):
     # six associates hit the six invertible residues mod 3 exactly once each,
-    # so each convention picks a unique representative
-    for convention, target in (("two-mod-three", 2), ("one-mod-three", 1)):
+    # so residue 2 and residue 1 each pick a unique representative: the
+    # primary associate and its negative
+    pi = primary_associate_eis(z)
+    for target, want in ((2, pi), (1, -pi)):
         prim = [
             w for w in z.associates() if w.a % 3 == target and w.b % 3 == 0
         ]
-        assert len(prim) == 1
-        assert primary_associate_eis(z, convention) == prim[0]
+        assert prim == [want]
 
 
 def test_primary_rejects_norm_divisible_by_three():
@@ -82,7 +83,7 @@ def test_split_prime_frozen():
     pi7 = split_prime_eis(7)
     assert (pi7.a, pi7.b) == (-1, -3)
     assert split_prime_eis(13) == EisInt(-1, 3)
-    assert split_prime_eis(13, "one-mod-three") == EisInt(1, -3)
+    assert -split_prime_eis(13) == EisInt(1, -3)  # the generator ≡ 1 (mod 3)
 
 
 def test_split_prime_properties():
@@ -97,9 +98,8 @@ def test_split_prime_properties():
         # must kill pi itself
         assert (pi.a + pi.b * s) % p == 0
         assert (s * s + s + 1) % p == 0
-        # the two conventions generate the same ideal
-        other = split_prime_eis(p, "one-mod-three")
-        assert other in pi.associates()
+        # the generator ≡ 1 (mod 3) is -π, which generates the same ideal
+        assert (-pi).a % 3 == 1 and -pi in pi.associates()
 
 
 def test_split_prime_rejects_inert():

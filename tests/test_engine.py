@@ -207,11 +207,12 @@ def test_traces_filtered_by_modulus():
     seg = Segment(2, 30_000)
     for d in DISCRIMINANTS:
         for t in (Fraction(1), Fraction(-7, 4)):
-            ps, a = seg.traces(CurveSpec(d, t))
+            ps, c, e = seg.units(CurveSpec(d, t))
             for L in (1, 3, 4, 8, 9, 24):
                 sel = (ps - 1) % L == 0
-                got = seg.traces(CurveSpec(d, t), modulus=L)
-                assert (got[0].tolist(), got[1].tolist()) == (ps[sel].tolist(), a[sel].tolist()), (d, t, L)
+                got = seg.units(CurveSpec(d, t), modulus=L)
+                want = (ps[sel], c[:, sel], e[sel])
+                assert [v.tolist() for v in got] == [v.tolist() for v in want], (d, t, L)
 
 
 @pytest.mark.parametrize("lo", [5, 10**6, P_LIMIT - 250_000])
@@ -267,17 +268,20 @@ def test_good_traces_are_zero_at_inert_primes():
 
 def test_divisors_and_exponents_match_the_scalar_route():
     seg = Segment(13, 30_000)
-    for d, k, convention, scalar in (
-        (-4, 4, "two-mod-three", quartic_exponent),
-        (-3, 3, "two-mod-three", cubic_exponent),
-        (-3, 3, "one-mod-three", cubic_exponent),
+    for d, k, negate, scalar in (
+        (-4, 4, False, quartic_exponent),
+        (-3, 3, False, cubic_exponent),
+        (-3, 3, True, cubic_exponent),  # -π, the generator ≡ 1 (mod 3): the same symbols
     ):
         ps = seg.form(d)[0]
-        a, b = seg.primary(d, ps, convention)
+        a, b = seg.primary(d, ps)
         if d == -4:
             pis = [split_prime(p) for p in ps.tolist()]
+        elif negate:
+            a, b = -a, -b
+            pis = [-split_prime_eis(p) for p in ps.tolist()]
         else:
-            pis = [split_prime_eis(p, convention) for p in ps.tolist()]
+            pis = [split_prime_eis(p) for p in ps.tolist()]
         assert list(zip(a.tolist(), b.tolist())) == [tuple(vars(pi).values()) for pi in pis]
         for x in (2, 3, 7, 11):
             got = symbol_exponents(np.full(len(ps), x), ps, k, (a, b))
@@ -288,8 +292,8 @@ HUGE = 10**30 + 57  # prime, past the factoring limit: its own Euler base
 CHAR_ARGS = (1, -1, 2, -2, 3, 6, -8, 12, 1_000_003, 1_000_003 * 1_000_033, HUGE)
 
 
-def _divisors_of(d, ps, convention="two-mod-three"):
-    split = split_prime if d == -4 else lambda p: split_prime_eis(p, convention)
+def _divisors_of(d, ps):
+    split = split_prime if d == -4 else split_prime_eis
     return [split(p) for p in ps.tolist()]
 
 
@@ -338,7 +342,7 @@ def test_huge_and_rational_twists_through_traces():
 def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
     # (-1/p), (2/p), (-1/π)_4, (2/π)_4 = i^(-b/2), (-1/π)_3 = 1 and (2/π)_3 ≡ π (mod 2)
     # at every prime below 10⁶ where they are defined, with no modular power;
-    # (2/π)_3 under both conventions, whose divisors differ by a sign
+    # (2/π)_3 at π and at -π, the generators ≡ 2 and ≡ 1 (mod 3)
     seg = Segment(3, 10**6)
     powers = []
 
@@ -346,9 +350,11 @@ def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
         powers.append(len(ps))
         return pow_array(base, exp, ps)
 
-    for k, d, convention in ((2, -4, None), (4, -4, None), (3, -3, "two-mod-three"), (3, -3, "one-mod-three")):
+    for k, d, negate in ((2, -4, False), (4, -4, False), (3, -3, False), (3, -3, True)):
         ps = seg.primes if k == 2 else seg.form(d)[0]
-        pi = None if k == 2 else seg.primary(d, ps, convention or "two-mod-three")
+        pi = None if k == 2 else seg.primary(d, ps)
+        if negate:
+            pi = (-pi[0], -pi[1])
         with monkeypatch.context() as patch:
             patch.setattr(engine, "pow_array", counting_pow)
             got = [seg.character(n, ps, k, pi) for n in (-1, 2)]
@@ -356,7 +362,7 @@ def test_closed_forms_for_minus_one_and_two_match_euler(monkeypatch):
         for n, e in zip((-1, 2), got):
             x = n % ps
             want = symbol_exponents(x, ps, k, pi)
-            assert e.tolist() == want.tolist(), (n, k, convention)
+            assert e.tolist() == want.tolist(), (n, k, negate)
             assert len(set(e.tolist())) == {(-1, 3): 1, (-1, 4): 2}.get((n, k), k)  # every value occurs
 
 
@@ -388,20 +394,22 @@ def test_one_euler_power_per_base_and_segment(monkeypatch):
 @pytest.mark.parametrize("k, d", [(2, None), (4, -4), (3, -3)])
 def test_reciprocity_tables_match_euler(k, d):
     # every entry that a prime below 2·10⁵ reaches, for every odd prime base below
-    # the bound, against Euler's criterion or ``symbol_exponents``; (ℓ/π)_3 under
-    # both conventions, whose divisors differ by a sign
+    # the bound, against Euler's criterion or ``symbol_exponents``; (ℓ/π)_3 at π
+    # and at -π, the generators ≡ 2 and ≡ 1 (mod 3)
     seg = Segment(3, 200_000)
     ps = seg.primes if d is None else seg.form(d)[0]
-    for convention in ("two-mod-three", "one-mod-three") if k == 3 else (None,):
-        pi = None if d is None else seg.primary(d, ps, convention or "two-mod-three")
+    for negate in (False, True) if k == 3 else (False,):
+        pi = None if d is None else seg.primary(d, ps)
+        if negate:
+            pi = (-pi[0], -pi[1])
         for ell in prime_array(3, engine.TABLE_BOUND).tolist():
             keep = ps % ell != 0
             q, x = ps[keep], np.full(keep.sum(), ell)
             pq = None if d is None else (pi[0][keep], pi[1][keep])
             want = symbol_exponents(x, q, k, pq)
             got = seg.character(ell, q, k, pq)
-            assert got.tolist() == want.tolist(), (ell, k, convention)
-            assert len(set(got.tolist())) == k, (ell, k, convention)
+            assert got.tolist() == want.tolist(), (ell, k, negate)
+            assert len(set(got.tolist())) == k, (ell, k, negate)
 
 
 def test_bases_below_the_bound_take_no_power(monkeypatch):
@@ -643,7 +651,7 @@ def test_nine_cells_take_one_symord_power_per_m_and_t(monkeypatch):
 
     monkeypatch.setattr(engine, "pow_array", counting_pow)
     check = density.SUITES["nine-cells"][0]
-    checked, found = density._check_segment("nine-cells", check, [CurveSpec(-4, 3)], 10, (5, 20_000))
+    checked, found = density._check_segment("nine-cells", check, [CurveSpec(-4, 3)], (5, 20_000))
     assert checked > 0 and found == []
     assert len(full) == 3
 

@@ -1,15 +1,19 @@
 """The scripts under ``scripts/``, run in-process through their ``main``."""
 
+import ast
+import importlib
 import re
 import sys
 from dataclasses import replace
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from cmresidues import curves
+from cmresidues import curves, verify_suite
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 import calibrate_models  # noqa: E402
 import run_acceptance_batch  # noqa: E402
 import study_octic_bias  # noqa: E402
@@ -90,3 +94,19 @@ def test_scripts_refuse_bad_input_as_the_cli_does(script, argv, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == f"error: {message}\n"
+
+
+def test_benchmark_child_finds_what_it_imports():
+    # bench/child.py imports these names and reads oracle_bound's default by
+    # introspection; a change that drops one would first fail in the benchmark
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cmresidues"
+        for alias in node.names
+    ]
+    assert len(imported) > 20
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+    assert isinstance(signature(verify_suite).parameters["oracle_bound"].default, int)
